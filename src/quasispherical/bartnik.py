@@ -110,10 +110,15 @@ def h0_of(surface: ConvexSurface) -> np.ndarray:
     return surface.kappa1 + surface.kappa2
 
 
-def _h_node_factor(surface: ConvexSurface, H: np.ndarray) -> np.ndarray:
-    """H0 broadcast against the shape of H."""
-    h0 = h0_of(surface)
-    return h0[:, None] if H.ndim == 2 else h0
+def _base_integrals(data: BartnikData) -> tuple[float, float, float]:
+    """Int H0, Int H and Int H^2/H0 over the base surface."""
+    frame0 = geometry.frame_at(data.surface, 0.0)
+    h0 = geometry.per_node(h0_of(data.surface), data.H)
+    return (
+        geometry.integrate(frame0, h0 * np.ones_like(data.H)),
+        geometry.integrate(frame0, data.H),
+        geometry.integrate(frame0, data.H * data.H / h0),
+    )
 
 
 def mu0_bounds(data: BartnikData) -> tuple[float, float]:
@@ -121,16 +126,14 @@ def mu0_bounds(data: BartnikData) -> tuple[float, float]:
 
     lower = sqrt( Int H0 / Int H^2/H0 ), upper = Int H0 / Int H, both over
     the base surface.  upper equals mu0 exactly when H is proportional to
-    H0; lower comes from the non-decreasing lower mass functional.
+    H0; lower comes from the non-decreasing lower mass functional.  By
+    Cauchy-Schwarz lower <= upper, with equality in the proportional case,
+    where the two quadratures can round apart; lower is capped at upper.
     """
-    frame0 = geometry.frame_at(data.surface, 0.0)
-    h0 = _h_node_factor(data.surface, data.H)
-    int_h0 = geometry.integrate(frame0, h0 * np.ones_like(data.H))
-    int_h = geometry.integrate(frame0, data.H)
-    int_h2_over_h0 = geometry.integrate(frame0, data.H * data.H / h0)
+    int_h0, int_h, int_h2_over_h0 = _base_integrals(data)
     lower = float(np.sqrt(int_h0 / int_h2_over_h0))
     upper = float(int_h0 / int_h)
-    return lower, upper
+    return min(lower, upper), upper
 
 
 def proportionality_diagnostic(
@@ -141,11 +144,9 @@ def proportionality_diagnostic(
     Returns (is_proportional, k) with k = Int H0 / Int H; proportional means
     max |k H - H0| <= tol * max H0.
     """
-    frame0 = geometry.frame_at(data.surface, 0.0)
-    h0 = _h_node_factor(data.surface, data.H)
-    k = geometry.integrate(frame0, h0 * np.ones_like(data.H)) / geometry.integrate(
-        frame0, data.H
-    )
+    int_h0, int_h, _ = _base_integrals(data)
+    k = int_h0 / int_h
+    h0 = geometry.per_node(h0_of(data.surface), data.H)
     deviation = float(np.max(np.abs(k * data.H - h0)))
     scale = float(np.max(np.abs(h0)))
     return deviation <= tol * scale, float(k)
@@ -155,7 +156,7 @@ def _probe_mass(
     data: BartnikData, mu: float, config: SolverConfig, mass_tol: float
 ) -> mass.MassEstimate:
     """Total mass of the extension for the scaled data H0 / (mu H)."""
-    u0 = _h_node_factor(data.surface, data.H) / (mu * data.H)
+    u0 = geometry.per_node(h0_of(data.surface), data.H) / (mu * data.H)
     series, _ = mass.compute_mass_series(data.surface, u0, config)
     try:
         return mass.estimate_mass(series, tol=mass_tol)
@@ -263,11 +264,8 @@ def quasilocal_masses(
     only; m2 = sqrt(|Sigma|/16 pi) (1 - 1/mu0^2) needs the critical scaling
     constant, which is solved for when not supplied.
     """
-    frame0 = geometry.frame_at(data.surface, 0.0)
-    h0 = _h_node_factor(data.surface, data.H)
-    ratio = geometry.integrate(frame0, data.H) / geometry.integrate(
-        frame0, h0 * np.ones_like(data.H)
-    )
+    int_h0, int_h, _ = _base_integrals(data)
+    ratio = int_h / int_h0
     scale = float(np.sqrt(data.surface.area / (16.0 * np.pi)))
     m1 = scale * (1.0 - ratio * ratio)
 

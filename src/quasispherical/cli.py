@@ -205,9 +205,7 @@ def cmd_extend(config: dict) -> int:
         u0 = _parse_field(config["u0"], surface, "u0")
     else:
         H = _parse_field(config["h"], surface, "h")
-        u0 = bartnik.h0_of(surface) / H if H.ndim == 1 else (
-            bartnik.h0_of(surface)[:, None] / H
-        )
+        u0 = geometry.per_node(bartnik.h0_of(surface), H) / H
     mass_tol = float(config.get("mass_tol", 1e-3))
 
     series, final = mass.compute_mass_series(surface, u0, solver)
@@ -378,39 +376,27 @@ def cmd_sweep(config: dict, jobs: int = 1) -> int:
                 dst[key] = value
         return dst
 
-    tasks = []
+    configs = []
     for index, overrides in enumerate(entries):
         if not isinstance(overrides, dict):
             raise ValueError(f"sweep entry {index} must be an object")
         entry_config = merge(copy.deepcopy(base), copy.deepcopy(overrides))
         entry_config["output_dir"] = str(out / f"{index:03d}")
-        tasks.append((index, overrides, entry_config))
+        configs.append(entry_config)
 
-    summary = []
+    commands = [command] * len(configs)
     if jobs > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_run_sweep_entry, command, entry_config): (index, overrides)
-                for index, overrides, entry_config in tasks
-            }
-            codes = {}
-            for fut, (index, overrides) in futures.items():
-                codes[index] = (fut.result(), overrides)
-        for index in sorted(codes):
-            code, overrides = codes[index]
-            summary.append(
-                {"index": index, "overrides": overrides, "exit_code": code,
-                 "output_dir": f"{index:03d}"}
-            )
+            codes = list(pool.map(_run_sweep_entry, commands, configs))
     else:
-        for index, overrides, entry_config in tasks:
-            code = _run_sweep_entry(command, entry_config)
-            summary.append(
-                {"index": index, "overrides": overrides, "exit_code": code,
-                 "output_dir": f"{index:03d}"}
-            )
+        codes = list(map(_run_sweep_entry, commands, configs))
+    summary = [
+        {"index": index, "overrides": overrides, "exit_code": code,
+         "output_dir": f"{index:03d}"}
+        for index, (overrides, code) in enumerate(zip(entries, codes))
+    ]
 
     payload = {"command": command, "entries": summary, "config": config}
     _write_json(out / "sweep.json", payload)

@@ -8,16 +8,17 @@ where Lap_r, H0_r, R_r are the Laplace-Beltrami operator, mean curvature,
 and scalar curvature of the leaf Sigma_r.  This module integrates that
 equation from r = 0 with positive initial data.
 
-Two schemes are provided.  ExplicitRK2 is the midpoint rule with leaf
-geometry evaluated at the stage radii.  ThetaExplicitPhiImplicit applies
-the same midpoint update to the theta-diffusion and reaction terms and then
-absorbs the azimuthal second difference in a backward-Euler solve, one
-cyclic tridiagonal system per theta ring; this removes the severe polar
+Every step runs one body: the midpoint rule, with leaf geometry evaluated
+at the stage radii.  Under ExplicitRK2 the right-hand side uses the full
+Laplacian.  Under ThetaExplicitPhiImplicit, on 2-d data, it uses only the
+theta part, and the scheme adds a single stage after the body: a
+backward-Euler solve of the azimuthal second difference, one cyclic
+tridiagonal system per theta ring.  This removes the severe polar
 restriction dr ~ (sin(theta) dphi)^2 for non-axisymmetric data.
 
-Data that is independent of phi is detected up front and marched on the
-one-dimensional theta grid (the equation preserves axisymmetry, so this is
-exact, not an approximation).
+Data that does not vary in phi is always marched on the one-dimensional
+theta grid (the equation preserves axisymmetry, so this is exact, not an
+approximation).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import geometry
 from .errors import NonFiniteError, PositivityLossError, StepUnderflowError
-from .geometry import ConvexSurface, FoliationFrame
+from .geometry import ConvexSurface, FoliationFrame, per_node
 
 logger = logging.getLogger("quasispherical")
 
@@ -90,31 +91,13 @@ class QuasiSphericalState:
     step_index: int = 0
 
 
-def _per_node(arr: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Broadcast a theta-node array against a 1-d or 2-d field."""
-    return arr[:, None] if u.ndim == 2 else arr
-
-
-def _laplacian_theta(frame: FoliationFrame, u: np.ndarray) -> np.ndarray:
-    """Theta part of the finite-volume Laplacian on a 2-d field."""
-    flux = np.zeros((frame.n_theta + 1, u.shape[1]))
-    flux[1:-1, :] = frame.aface[1:-1, None] * (u[1:] - u[:-1]) / frame.d_theta
-    return (flux[1:, :] - flux[:-1, :]) / frame.w[:, None]
-
-
-# The reaction coefficient R/2 is the Gauss curvature K of the leaf.
-def _rhs(u: np.ndarray, frame: FoliationFrame) -> np.ndarray:
-    lap = geometry.laplacian(frame, u)
-    H0 = _per_node(frame.H0, u)
-    K = _per_node(frame.K, u)
+# lap is geometry.laplacian or its theta part; the reaction coefficient R/2
+# is the Gauss curvature K of the leaf.
+def _rhs(u: np.ndarray, frame: FoliationFrame, lap) -> np.ndarray:
+    H0 = per_node(frame.H0, u)
+    K = per_node(frame.K, u)
     uu = u * u
-    return (uu * lap + K * (u - uu * u)) / H0
-
-
-def _rhs_theta_reaction(u: np.ndarray, frame: FoliationFrame) -> np.ndarray:
-    lap = _laplacian_theta(frame, u)
-    uu = u * u
-    return (uu * lap + frame.K[:, None] * (u - uu * u)) / frame.H0[:, None]
+    return (uu * lap(frame, u) + K * (u - uu * u)) / H0
 
 
 def solve_cyclic_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
@@ -182,7 +165,7 @@ def select_step(
     h = np.sqrt(frame.E) * frame.d_theta
     if u.ndim == 2 and config.scheme is Scheme.EXPLICIT_RK2:
         h = np.minimum(h, np.sqrt(frame.G) * frame.d_phi)
-    local = _per_node(h * h * frame.H0, u) / (4.0 * u * u)
+    local = per_node(h * h * frame.H0, u) / (4.0 * u * u)
     dr = config.cfl_safety * float(local.min())
     if dr < config.dr_min:
         raise StepUnderflowError(
@@ -223,34 +206,28 @@ def step(
     if frame0 is None:
         frame0 = geometry.frame_at(surface, r)
 
-    if u.ndim == 1 or config.scheme is Scheme.EXPLICIT_RK2:
-        k1 = _rhs(u, frame0)
-        um = u + 0.5 * dr * k1
-        _check_stage(um, r, dr, "midpoint stage")
-        fm = geometry.frame_at(surface, r + 0.5 * dr)
-        u1 = u + dr * _rhs(um, fm)
-        _check_stage(u1, r, dr, "update")
-        return QuasiSphericalState(r=r + dr, u=u1, step_index=state.step_index + 1)
+    phi_implicit = u.ndim == 2 and config.scheme is Scheme.THETA_EXPLICIT_PHI_IMPLICIT
+    lap = geometry.theta_laplacian if phi_implicit else geometry.laplacian
 
-    # Phi-implicit scheme: midpoint on theta-diffusion + reaction, then one
-    # backward-Euler azimuthal solve on the leaf at r + dr.
-    k1 = _rhs_theta_reaction(u, frame0)
+    k1 = _rhs(u, frame0, lap)
     um = u + 0.5 * dr * k1
     _check_stage(um, r, dr, "midpoint stage")
     fm = geometry.frame_at(surface, r + 0.5 * dr)
-    ustar = u + dr * _rhs_theta_reaction(um, fm)
-    _check_stage(ustar, r, dr, "theta stage")
+    u1 = u + dr * _rhs(um, fm, lap)
+    _check_stage(u1, r, dr, "theta stage" if phi_implicit else "update")
 
-    f1 = geometry.frame_at(surface, r + dr)
-    coef = dr * ustar * ustar / (
-        f1.H0[:, None] * f1.G[:, None] * frame0.d_phi * frame0.d_phi
-    )
-    u1 = solve_cyclic_tridiagonal(-coef, 1.0 + 2.0 * coef, -coef, ustar)
-    _check_stage(u1, r, dr, "phi-implicit solve")
+    if phi_implicit:
+        # Backward-Euler azimuthal solve on the leaf at r + dr.
+        f1 = geometry.frame_at(surface, r + dr)
+        coef = dr * u1 * u1 / (
+            f1.H0[:, None] * f1.G[:, None] * frame0.d_phi * frame0.d_phi
+        )
+        u1 = solve_cyclic_tridiagonal(-coef, 1.0 + 2.0 * coef, -coef, u1)
+        _check_stage(u1, r, dr, "phi-implicit solve")
     return QuasiSphericalState(r=r + dr, u=u1, step_index=state.step_index + 1)
 
 
-def _normalize_initial(surface: ConvexSurface, u0, allow_axisym_fastpath: bool) -> np.ndarray:
+def _normalize_initial(surface: ConvexSurface, u0) -> np.ndarray:
     n = surface.n_theta
     arr = np.asarray(u0, dtype=float)
     if arr.ndim == 0:
@@ -264,7 +241,7 @@ def _normalize_initial(surface: ConvexSurface, u0, allow_axisym_fastpath: bool) 
             raise ValueError(
                 f"u0 shape {arr.shape} != ({n}, {surface.n_phi})"
             )
-        if allow_axisym_fastpath and np.all(arr == arr[:, :1]):
+        if np.all(arr == arr[:, :1]):
             arr = arr[:, 0].copy()
         else:
             arr = arr.copy()
@@ -277,12 +254,27 @@ def _normalize_initial(surface: ConvexSurface, u0, allow_axisym_fastpath: bool) 
     return arr
 
 
+def _emission_radii(config: SolverConfig) -> list[float]:
+    """The ladder output_r0 * output_stride^k below r_max, then r_max.
+
+    A rung within 1e-12 r_max of r_max is snapped onto it, so it is emitted
+    once, as r_max."""
+    radii = []
+    r = config.output_r0
+    while r < config.r_max:
+        radii.append(r)
+        r *= config.output_stride
+        if abs(r - config.r_max) < 1e-12 * config.r_max:
+            r = config.r_max
+    radii.append(config.r_max)
+    return radii
+
+
 def evolve(
     surface: ConvexSurface,
     u0,
     config: SolverConfig,
     observer: Optional[Callable[[QuasiSphericalState], None]] = None,
-    allow_axisym_fastpath: bool = True,
 ) -> QuasiSphericalState:
     """March from r = 0 to config.r_max; returns the final state.
 
@@ -292,55 +284,45 @@ def evolve(
     On positivity loss the step is halved and retried up to 10 times before
     the error propagates.
     """
-    u = _normalize_initial(surface, u0, allow_axisym_fastpath)
+    u = _normalize_initial(surface, u0)
     state = QuasiSphericalState(r=0.0, u=u, step_index=0)
     if observer is not None:
         observer(state)
 
-    next_emit = config.output_r0
-    while next_emit <= 1e-12:  # unreachable after validation; defensive
-        next_emit *= config.output_stride
-
     log_every = 0.0
-    while state.r < config.r_max:
-        frame0 = geometry.frame_at(surface, state.r)
-        dr = select_step(state, frame0, config)
-        target = min(config.r_max, next_emit)
-        landing = state.r + dr >= target * (1.0 - 1e-14)
-        if landing:
-            dr = target - state.r
+    for target in _emission_radii(config):
+        while state.r < target:
+            frame0 = geometry.frame_at(surface, state.r)
+            dr = select_step(state, frame0, config)
+            landing = state.r + dr >= target * (1.0 - 1e-14)
+            if landing:
+                dr = target - state.r
 
-        attempts = 0
-        while True:
-            try:
-                new_state = step(state, surface, dr, config, frame0=frame0)
-                break
-            except PositivityLossError:
-                attempts += 1
-                if attempts > _MAX_POSITIVITY_RETRIES:
-                    raise
-                dr *= 0.5
-                landing = False
-                logger.info(
-                    "positivity retry %d at r=%.6g with dr=%.3e",
-                    attempts,
-                    state.r,
-                    dr,
-                )
+            attempts = 0
+            while True:
+                try:
+                    new_state = step(state, surface, dr, config, frame0=frame0)
+                    break
+                except PositivityLossError:
+                    attempts += 1
+                    if attempts > _MAX_POSITIVITY_RETRIES:
+                        raise
+                    dr *= 0.5
+                    landing = False
+                    logger.info(
+                        "positivity retry %d at r=%.6g with dr=%.3e",
+                        attempts,
+                        state.r,
+                        dr,
+                    )
 
-        state = new_state
-        if landing:
-            state.r = target  # exact landing, no accumulation drift
-        if state.r >= log_every:
-            logger.debug("r=%.6g step=%d", state.r, state.step_index)
-            log_every = max(state.r * 2.0, 1e-6)
+            state = new_state
+            if landing:
+                state.r = target  # exact landing, no accumulation drift
+            if state.r >= log_every:
+                logger.debug("r=%.6g step=%d", state.r, state.step_index)
+                log_every = max(state.r * 2.0, 1e-6)
 
-        if landing:
-            if observer is not None:
-                observer(state)
-            if target == next_emit:
-                next_emit *= config.output_stride
-                # Skip ladder radii that collapse onto r_max.
-                if abs(next_emit - config.r_max) < 1e-12 * config.r_max:
-                    next_emit = config.r_max
+        if observer is not None:
+            observer(state)
     return state

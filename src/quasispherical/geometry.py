@@ -28,7 +28,6 @@ functionals of exactly round data exact.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -184,9 +183,9 @@ class FoliationFrame:
     measures w, and the face transport coefficients aface.  The scalar
     curvature is the property R = 2 K (exact: scaling by 2 does not round).
     The metric coefficients E = E0 f1^2 and G = G0 f2^2 and the leaf area
-    2 pi sum(w) are built on first access and then kept; they use the base
-    metric E0, G0 and the node stretch factors f1 = 1 + r k1, f2 = 1 + r k2,
-    held as the rows of stretch.
+    2 pi sum(w) are properties; they use the base metric E0, G0 and the node
+    stretch factors f1 = 1 + r k1, f2 = 1 + r k2, held as the rows of
+    stretch.
 
     Frames are read-only by convention, not frozen: the march builds two per
     step, and a frozen dataclass costs several times more to construct.
@@ -213,17 +212,17 @@ class FoliationFrame:
     def R(self) -> np.ndarray:
         return 2.0 * self.K
 
-    @functools.cached_property
+    @property
     def E(self) -> np.ndarray:
         f1 = self.stretch[0]
         return self.E0 * f1 * f1
 
-    @functools.cached_property
+    @property
     def G(self) -> np.ndarray:
         f2 = self.stretch[1]
         return self.G0 * f2 * f2
 
-    @functools.cached_property
+    @property
     def area(self) -> float:
         return 2.0 * np.pi * float(np.sum(self.w))
 
@@ -449,6 +448,20 @@ def integrate(frame: FoliationFrame, fld) -> float:
     raise ValueError(f"field must be scalar, 1-d, or 2-d, got ndim={arr.ndim}")
 
 
+def per_node(arr: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Broadcast a theta-node array against a 1-d or 2-d field."""
+    return arr[:, None] if u.ndim == 2 else arr
+
+
+def theta_laplacian(frame: FoliationFrame, u: np.ndarray) -> np.ndarray:
+    """Theta part of laplacian() on a 1-d or 2-d field: the sum of the
+    fluxes through each cell's two theta faces over its measure.  The
+    field's shape is not checked."""
+    flux = np.zeros((frame.n_theta + 1,) + u.shape[1:])
+    flux[1:-1] = per_node(frame.aface[1:-1], u) * (u[1:] - u[:-1]) / frame.d_theta
+    return (flux[1:] - flux[:-1]) / per_node(frame.w, u)
+
+
 def laplacian(frame: FoliationFrame, fld: np.ndarray) -> np.ndarray:
     """Laplace-Beltrami operator of Sigma_r on a grid field.
 
@@ -463,17 +476,13 @@ def laplacian(frame: FoliationFrame, fld: np.ndarray) -> np.ndarray:
     if u.ndim == 1:
         if u.shape[0] != n:
             raise ValueError(f"field length {u.shape[0]} != n_theta {n}")
-        flux = np.zeros(n + 1)
-        flux[1:-1] = frame.aface[1:-1] * (u[1:] - u[:-1]) / frame.d_theta
-        return (flux[1:] - flux[:-1]) / frame.w
+        return theta_laplacian(frame, u)
     if u.ndim == 2:
         if u.shape != (n, frame.n_phi):
             raise ValueError(
                 f"field shape {u.shape} != ({n}, {frame.n_phi})"
             )
-        flux = np.zeros((n + 1, frame.n_phi))
-        flux[1:-1, :] = frame.aface[1:-1, None] * (u[1:] - u[:-1]) / frame.d_theta
-        out = (flux[1:, :] - flux[:-1, :]) / frame.w[:, None]
+        out = theta_laplacian(frame, u)
         out += (np.roll(u, -1, axis=1) - 2.0 * u + np.roll(u, 1, axis=1)) / (
             frame.G[:, None] * frame.d_phi * frame.d_phi
         )

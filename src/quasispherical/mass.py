@@ -41,13 +41,14 @@ def mass_at(frame: FoliationFrame, u) -> float:
     """Upper mass functional Int H0 (1 - 1/u) d sigma at one leaf (raw,
     un-normalized; divide by 8 pi for ADM units)."""
     inv = _one_over(u)
-    H0 = frame.H0 if inv.ndim <= 1 else frame.H0[:, None]
+    H0 = geometry.per_node(frame.H0, inv)
     return geometry.integrate(frame, H0 * (1.0 - inv))
+
 
 def mass_lower_at(frame: FoliationFrame, u) -> float:
     """Lower mass functional (1/2) Int H0 (1 - 1/u^2) d sigma (raw)."""
     inv = _one_over(u)
-    H0 = frame.H0 if inv.ndim <= 1 else frame.H0[:, None]
+    H0 = geometry.per_node(frame.H0, inv)
     return 0.5 * geometry.integrate(frame, H0 * (1.0 - inv * inv))
 
 
@@ -59,7 +60,7 @@ def decrement_rate(frame: FoliationFrame, u) -> float:
     between nearby leaves should match this rate.
     """
     uarr = np.asarray(u, dtype=float)
-    R = frame.R if uarr.ndim <= 1 else frame.R[:, None]
+    R = geometry.per_node(frame.R, uarr)
     diff = 1.0 - uarr
     return -0.5 * geometry.integrate(frame, R * diff * diff / uarr)
 

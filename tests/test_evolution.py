@@ -218,10 +218,22 @@ def test_evolve_flat_data_stays_flat_exactly(sphere64, spheroid64):
 
 
 def test_evolve_emission_ladder_is_exact(sphere32):
-    cfg = SolverConfig(r_max=10.0)
-    radii = []
-    evolve(sphere32, 1.2, cfg, observer=lambda s: radii.append(s.r))
-    assert radii == ladder_radii(cfg)
+    snap_r_max = 0.1 * 1.2**3 * (1.0 + 1e-13)
+    cases = [
+        (SolverConfig(r_max=10.0), None),
+        # A rung within 1e-12 r_max of r_max is emitted once, as r_max.
+        (
+            SolverConfig(output_r0=0.1, r_max=snap_r_max),
+            [0.0, 0.1, 0.1 * 1.2, 0.1 * 1.2 * 1.2, snap_r_max],
+        ),
+        # A first rung at or beyond r_max leaves only the end points.
+        (SolverConfig(output_r0=2.0, r_max=2.0), [0.0, 2.0]),
+        (SolverConfig(output_r0=5.0, r_max=2.0), [0.0, 2.0]),
+    ]
+    for cfg, expected in cases:
+        radii = []
+        evolve(sphere32, 1.2, cfg, observer=lambda s: radii.append(s.r))
+        assert radii == (ladder_radii(cfg) if expected is None else expected)
 
 
 def test_evolve_is_deterministic(sphere32):
@@ -261,18 +273,20 @@ def test_evolve_axisym_fastpath_collapses_constant_phi(sphere32):
 
 
 def test_evolve_2d_stencil_agrees_with_1d_on_axisymmetric_data():
-    # With the fastpath disabled and a pinned step size the azimuthal
+    # evolve() marches phi-constant data on the 1-d grid, so the 2-d stencil
+    # is stepped directly.  With the same step sizes the azimuthal
     # difference of a phi-constant field is exactly zero, so the 2-d march
     # reproduces the 1-d one bit for bit.
     spec = SurfaceSpec(shape=Sphere(radius=1.0), n_theta=16, n_phi=8)
     surf = build_surface(spec)
-    # dr_max far below the stability limit pins every step to exactly 1e-4
-    # in both marches.
-    cfg = SolverConfig(r_max=0.02, dr_max=1e-4, output_r0=1.0)
+    # dr = 1e-4 is far below the stability limit; 200 steps reach r = 0.02.
+    cfg = SolverConfig()
     base = 1.0 + 0.2 * np.cos(surf.theta) ** 2
     u2 = np.tile(base[:, None], (1, 8))
-    out2 = evolve(surf, u2, cfg, allow_axisym_fastpath=False)
-    out1 = evolve(surf, base, cfg)
+    out2, out1 = state_of(u2), state_of(base)
+    for _ in range(200):
+        out2 = step(out2, surf, 1e-4, cfg)
+        out1 = step(out1, surf, 1e-4, cfg)
     assert out2.u.shape == (16, 8)
     for k in range(8):
         assert np.array_equal(out2.u[:, k], out1.u)
@@ -282,7 +296,12 @@ def test_evolve_imex_flat_fixed_point():
     spec = SurfaceSpec(shape=Sphere(radius=1.0), n_theta=24, n_phi=12)
     surf = build_surface(spec)
     cfg = SolverConfig(r_max=5.0, scheme=Scheme.THETA_EXPLICIT_PHI_IMPLICIT)
-    final = evolve(surf, np.ones((24, 12)), cfg, allow_axisym_fastpath=False)
+    # evolve() would march phi-constant data on the 1-d grid; step the 2-d
+    # phi-implicit scheme directly with the steps select_step chooses.
+    final = state_of(np.ones((24, 12)))
+    while final.r < cfg.r_max:
+        dr = select_step(final, frame_at(surf, final.r), cfg)
+        final = step(final, surf, min(dr, cfg.r_max - final.r), cfg)
     assert np.max(np.abs(final.u - 1.0)) < 1e-11
 
 

@@ -270,8 +270,8 @@ def test_frame_asymptotic_roundness(spheroid64):
 
 
 def test_frame_fields_match_closed_forms(spheroid64):
-    # K is stored, R = 2K is derived; E, G and the area are built on first
-    # access. Each must equal its closed form bit for bit.
+    # K is stored; R = 2K, E, G and the area are properties. Each must equal
+    # its closed form bit for bit.
     for r in [0.0, 0.37, 2.5, 1e3]:
         f = frame_at(spheroid64, r)
         f1 = 1.0 + r * spheroid64.kappa1
@@ -286,7 +286,6 @@ def test_frame_fields_match_closed_forms(spheroid64):
         w = spheroid64.w0 + r * spheroid64.wH + r * r * spheroid64.wK
         assert np.array_equal(f.w, w)
         assert f.area == 2.0 * np.pi * float(np.sum(w))
-        assert f.E is f.E and f.G is f.G
 
 
 def test_frame_negative_offset_rejected(sphere64):
