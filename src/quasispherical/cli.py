@@ -347,9 +347,6 @@ def cmd_verify(config: dict) -> int:
     return EXIT_OK if all_passed else EXIT_ERROR
 
 
-_SWEEP_COMMANDS = {}  # filled after definitions
-
-
 def cmd_sweep(config: dict, jobs: int = 1) -> int:
     """Run a subcommand over a list of config overrides.
 
@@ -412,7 +409,9 @@ def _run_sweep_entry(command: str, entry_config: dict) -> int:
         return EXIT_ERROR
 
 
-_SWEEP_COMMANDS.update({"extend": cmd_extend, "mu0": cmd_mu0, "certify": cmd_certify})
+# The subcommands that take only a config: a sweep runs them, and main()
+# looks them up here.
+_SWEEP_COMMANDS = {"extend": cmd_extend, "mu0": cmd_mu0, "certify": cmd_certify}
 
 
 # ---------------------------------------------------------------------------
@@ -482,17 +481,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         config = load_config(args.config, args.overrides)
         if args.output_dir is not None:
             config["output_dir"] = args.output_dir
-        if args.command == "extend":
-            return cmd_extend(config)
-        if args.command == "mu0":
-            return cmd_mu0(config)
-        if args.command == "certify":
-            return cmd_certify(config)
-        if args.command == "verify":
-            return cmd_verify(config)
         if args.command == "sweep":
             return cmd_sweep(config, jobs=args.jobs)
-        raise AssertionError(f"unhandled command {args.command}")
+        if args.command == "verify":
+            return cmd_verify(config)
+        return _SWEEP_COMMANDS[args.command](config)
     except (QuasisphericalError, ValueError, OSError, json.JSONDecodeError) as err:
         _report_error(config if isinstance(config, dict) else {}, err)
         return EXIT_ERROR

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import geometry
 from .errors import NonFiniteError, PositivityLossError, StepUnderflowError
@@ -106,8 +107,12 @@ def solve_cyclic_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
     Row k of each system reads
         sub[k] x[k-1] + diag[k] x[k] + sup[k] x[k+1] = rhs[k]
     with periodic wraparound (x[-1] = x[n-1], x[n] = x[0]).  All inputs
-    share the same shape (..., n).  Sherman-Morrison reduction to a plain
-    tridiagonal system, Thomas algorithm vectorized over the batch.
+    share the same shape (..., n).  Sherman-Morrison reduces each ring to a
+    plain tridiagonal system; all rings, stacked end to end with their
+    couplings across ring boundaries set to zero, are then solved in one
+    LAPACK dgtsv call (Gaussian elimination with partial pivoting), with
+    the data and the rank-one correction vector as its two right-hand
+    sides.  A zero pivot raises NonFiniteError.
     """
     sub = np.asarray(sub, dtype=float)
     diag = np.asarray(diag, dtype=float)
@@ -122,29 +127,23 @@ def solve_cyclic_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
     bmod[..., 0] = diag[..., 0] - gamma
     bmod[..., -1] = diag[..., -1] - sup[..., -1] * sub[..., 0] / gamma
 
-    # Two right-hand sides: the data and the rank-one correction vector.
-    uvec = np.zeros_like(rhs)
-    uvec[..., 0] = gamma
-    uvec[..., -1] = sup[..., -1]
-    d = np.stack([rhs, uvec], axis=-1)
+    dl = sub.ravel()[1:].copy()
+    du = sup.ravel()[:-1].copy()
+    dl[n - 1 :: n] = 0.0
+    du[n - 1 :: n] = 0.0
+    b = np.zeros((rhs.size, 2), order="F")
+    b[:, 0] = rhs.ravel()
+    b[::n, 1] = gamma.ravel()
+    b[n - 1 :: n, 1] = sup[..., -1].ravel()
+    x, info = lapack.dgtsv(
+        dl, bmod.ravel(), du, b,
+        overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
+    )[3:]
+    if info != 0:
+        raise NonFiniteError(f"zero pivot in the cyclic solve (dgtsv info={info})")
 
-    cp = np.empty_like(sub)
-    dp = np.empty_like(d)
-    cp[..., 0] = sup[..., 0] / bmod[..., 0]
-    dp[..., 0, :] = d[..., 0, :] / bmod[..., 0, None]
-    for k in range(1, n):
-        denom = bmod[..., k] - sub[..., k] * cp[..., k - 1]
-        cp[..., k] = sup[..., k] / denom
-        dp[..., k, :] = (d[..., k, :] - sub[..., k, None] * dp[..., k - 1, :]) / denom[
-            ..., None
-        ]
-    x = np.empty_like(d)
-    x[..., n - 1, :] = dp[..., n - 1, :]
-    for k in range(n - 2, -1, -1):
-        x[..., k, :] = dp[..., k, :] - cp[..., k, None] * x[..., k + 1, :]
-
-    y = x[..., 0]
-    q = x[..., 1]
+    y = x[:, 0].reshape(rhs.shape)
+    q = x[:, 1].reshape(rhs.shape)
     ratio = sub[..., 0] / gamma
     factor = (y[..., 0] + ratio * y[..., -1]) / (1.0 + q[..., 0] + ratio * q[..., -1])
     return y - factor[..., None] * q

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -133,17 +133,18 @@ class SurfaceSpec:
 class ConvexSurface:
     """Base surface with grid data and offset-ready cell measures.
 
-    Node arrays have length n_theta, face arrays length n_theta + 1.  The
-    principal curvatures are stored stacked: row i of kappa holds kappa_i at
-    the n_theta nodes followed by the n_theta + 1 faces, so that one array
-    operation forms all offset stretch factors 1 + r kappa.  The face
-    coefficient aface0 = sqrt(G0/E0) vanishes at the poles, which closes the
-    polar fluxes of the finite-volume Laplacian without special cases.
+    Node arrays have length n_theta; the face array aface0 has length
+    n_theta + 1.  The principal curvatures are stored stacked: row i of
+    kappa holds kappa_i at the n_theta nodes followed by the n_theta + 1
+    faces, so that one array operation forms all offset stretch factors
+    1 + r kappa.  The face coefficient aface0 = sqrt(G0/E0) vanishes at the
+    poles, which closes the polar fluxes of the finite-volume Laplacian
+    without special cases.  w0, wH, wK are the cell-measure coefficients
+    and area the base area; frame_at(surface, r) gives the leaf at offset r,
+    including its area.
     """
 
-    spec: SurfaceSpec
     theta: np.ndarray
-    theta_faces: np.ndarray
     d_theta: float
     n_phi: int
     d_phi: float
@@ -154,7 +155,7 @@ class ConvexSurface:
     w0: np.ndarray
     wH: np.ndarray
     wK: np.ndarray
-    area: float = field(default=0.0)
+    area: float
 
     @property
     def n_theta(self) -> int:
@@ -167,11 +168,6 @@ class ConvexSurface:
     @property
     def kappa2(self) -> np.ndarray:
         return self.kappa[1, : self.n_theta]
-
-    def area_at(self, r: float) -> float:
-        """Area of the parallel surface Sigma_r (exact offset polynomial)."""
-        w = self.w0 + r * self.wH + r * r * self.wK
-        return 2.0 * np.pi * float(np.sum(w))
 
 
 @dataclass
@@ -187,11 +183,12 @@ class FoliationFrame:
     stretch factors f1 = 1 + r k1, f2 = 1 + r k2, held as the rows of
     stretch.
 
-    Frames are read-only by convention, not frozen: the march builds two per
-    step, and a frozen dataclass costs several times more to construct.
+    The frame does not store its offset r: the caller that asked
+    frame_at(surface, r) for it holds r.  Frames are read-only by
+    convention, not frozen: the march builds two per step, and a frozen
+    dataclass costs several times more to construct.
     """
 
-    r: float
     theta: np.ndarray
     d_theta: float
     n_phi: int
@@ -383,9 +380,7 @@ def build_surface(spec: SurfaceSpec) -> ConvexSurface:
     area = 2.0 * np.pi * float(np.sum(w0))
 
     return ConvexSurface(
-        spec=spec,
         theta=theta,
-        theta_faces=theta_faces,
         d_theta=d_theta,
         n_phi=n_phi,
         d_phi=d_phi,
@@ -409,7 +404,6 @@ def frame_at(surface: ConvexSurface, r: float) -> FoliationFrame:
     f = 1.0 + rr * surface.kappa
     kr = surface.kappa[:, :n] / f[:, :n]
     return FoliationFrame(
-        r=float(r),
         theta=surface.theta,
         d_theta=surface.d_theta,
         n_phi=surface.n_phi,

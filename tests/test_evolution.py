@@ -193,6 +193,33 @@ def test_cyclic_tridiagonal_constant_row_sums():
     assert np.allclose(x, 0.5, rtol=1e-13)
 
 
+def test_cyclic_tridiagonal_batch_rings_are_independent():
+    # All rings are stacked into one banded system; zeroed couplings at the
+    # ring boundaries must leave each ring's solution bit for bit as if it
+    # were solved alone.
+    gen = np.random.default_rng(5)
+    shape = (2, 3, 11)
+    sub = gen.uniform(-1.0, 1.0, shape)
+    sup = gen.uniform(-1.0, 1.0, shape)
+    diag = 3.0 + gen.uniform(0.0, 1.0, shape)
+    rhs = gen.uniform(-2.0, 2.0, shape)
+    x = solve_cyclic_tridiagonal(sub, diag, sup, rhs)
+    assert x.shape == shape
+    for i in range(shape[0]):
+        for j in range(shape[1]):
+            alone = solve_cyclic_tridiagonal(sub[i, j], diag[i, j], sup[i, j], rhs[i, j])
+            assert np.array_equal(x[i, j], alone)
+
+
+def test_cyclic_tridiagonal_zero_pivot_raises():
+    n = 8
+    diag = np.full(n, 2.0)
+    diag[3] = 0.0
+    zeros = np.zeros(n)
+    with pytest.raises(NonFiniteError):
+        solve_cyclic_tridiagonal(zeros, diag, zeros, np.ones(n))
+
+
 # ---------------------------------------------------------------------------
 # full evolutions
 
