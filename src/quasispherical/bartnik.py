@@ -51,21 +51,7 @@ class BartnikData:
     H: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.H, dtype=float)
-        n = self.surface.n_theta
-        if arr.ndim == 0:
-            arr = np.full(n, float(arr))
-        if arr.ndim == 1 and arr.shape[0] != n:
-            raise ValueError(f"H length {arr.shape[0]} != n_theta {n}")
-        if arr.ndim == 2 and arr.shape != (n, self.surface.n_phi):
-            raise ValueError(
-                f"H shape {arr.shape} != ({n}, {self.surface.n_phi})"
-            )
-        if arr.ndim > 2:
-            raise ValueError("H must be scalar, 1-d, or 2-d")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-            raise ValueError("H must be finite and strictly positive")
-        self.H = arr
+        self.H = geometry.node_field(self.surface, self.H, "H", positive=True)
 
 
 @dataclass(frozen=True)
@@ -252,38 +238,26 @@ def solve_mu0(
 
 
 def quasilocal_masses(
-    data: BartnikData,
-    mu0: Union[Mu0Result, float, None] = None,
-    mu_tol: float = 1e-3,
-    mass_tol: float = 1e-6,
-    config: Optional[SolverConfig] = None,
+    data: BartnikData, mu0: Union[Mu0Result, float]
 ) -> tuple[float, float]:
     """Two quasi-local mass values attached to the data, m2 <= m1.
 
     m1 = sqrt(|Sigma|/16 pi) (1 - (Int H / Int H0)^2) needs quadratures
     only; m2 = sqrt(|Sigma|/16 pi) (1 - 1/mu0^2) needs the critical scaling
-    constant, which is solved for when not supplied.
+    constant, from solve_mu0 or given as a number.
     """
     int_h0, int_h, _ = _base_integrals(data)
     ratio = int_h / int_h0
     scale = float(np.sqrt(data.surface.area / (16.0 * np.pi)))
     m1 = scale * (1.0 - ratio * ratio)
 
-    if mu0 is None:
-        mu0 = solve_mu0(data, mu_tol=mu_tol, mass_tol=mass_tol, config=config)
     mu0_value = mu0.mu0 if isinstance(mu0, Mu0Result) else float(mu0)
     m2 = scale * (1.0 - 1.0 / (mu0_value * mu0_value))
     return float(m1), float(m2)
 
 
 def certify_no_fill_in(
-    data: BartnikData,
-    h_hat: np.ndarray,
-    margin: float,
-    mu0_result: Optional[Mu0Result] = None,
-    mu_tol: float = 1e-3,
-    mass_tol: float = 1e-6,
-    config: Optional[SolverConfig] = None,
+    data: BartnikData, h_hat: np.ndarray, margin: float, mu0_result: Mu0Result
 ) -> Certificate:
     """Certificate that (surface, h_hat) admits no compact fill-in with
     nonnegative scalar curvature.
@@ -293,21 +267,16 @@ def certify_no_fill_in(
     borderline proportional case.  The borderline case (data proportional
     to H0 and h_hat sitting at mu0 H within the margin) is flagged
     exceptional and the certificate is withheld: there the flat ball itself
-    provides a fill-in.
+    provides a fill-in.  mu0_result is the data's solve_mu0 result.
 
     Raises MarginTooSmallError when the requested margin is below the
     certified relative error of mu0 itself.
     """
     if margin <= 0:
         raise ValueError(f"margin must be positive, got {margin}")
-    h_hat = np.asarray(h_hat, dtype=float)
+    h_hat = geometry.node_field(data.surface, h_hat, "h_hat", positive=True)
     if h_hat.shape != data.H.shape:
         raise ValueError(f"h_hat shape {h_hat.shape} != H shape {data.H.shape}")
-    if not np.all(np.isfinite(h_hat)) or np.any(h_hat <= 0):
-        raise ValueError("h_hat must be finite and strictly positive")
-
-    if mu0_result is None:
-        mu0_result = solve_mu0(data, mu_tol=mu_tol, mass_tol=mass_tol, config=config)
 
     mu0 = mu0_result.mu0
     bracket_lo, bracket_hi = mu0_result.bracket
@@ -328,35 +297,23 @@ def certify_no_fill_in(
         and abs(ratio_min / mu0 - 1.0) <= margin
         and abs(ratio_max / mu0 - 1.0) <= margin
     )
+    granted = not borderline and margin_measured >= margin
     if borderline:
-        return Certificate(
-            granted=False,
-            exceptional_case=True,
-            margin_required=margin,
-            margin_measured=margin_measured,
-            ratio_min=ratio_min,
-            mu0=mu0,
-            mu0_bracket=(bracket_lo, bracket_hi),
-            certified_error=certified_error,
-            reason=(
-                "borderline proportional case: data mean curvature is "
-                "proportional to the ambient value and h_hat sits at mu0 H, "
-                "where the flat ball is a fill-in"
-            ),
+        reason = (
+            "borderline proportional case: data mean curvature is "
+            "proportional to the ambient value and h_hat sits at mu0 H, "
+            "where the flat ball is a fill-in"
         )
-    granted = margin_measured >= margin
-    reason = (
-        "h_hat >= mu0 H with margin "
-        f"{margin_measured:.3e} >= {margin:.3e}"
-        if granted
-        else (
+    elif granted:
+        reason = f"h_hat >= mu0 H with margin {margin_measured:.3e} >= {margin:.3e}"
+    else:
+        reason = (
             f"measured margin {margin_measured:.3e} below required {margin:.3e}; "
             "no-fill-in not certified"
         )
-    )
     return Certificate(
         granted=granted,
-        exceptional_case=False,
+        exceptional_case=borderline,
         margin_required=margin,
         margin_measured=margin_measured,
         ratio_min=ratio_min,

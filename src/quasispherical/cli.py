@@ -9,6 +9,10 @@ Subcommands:
     verify   run the numerical self-check battery
     sweep    run one of the above over a list of config overrides
 
+verify reads only surface.n_theta, surface.n_phi, seed, checks and
+tolerance_scale: it runs on its built-in surfaces (the unit sphere, the
+1.0/1.2 spheroid and a few fixed others) and ignores the surface kind.
+
 Configuration is a JSON file (--config) plus dotted-path overrides
 (--set a.b.c=value, value parsed as JSON when possible).  All outputs are
 deterministic: JSON is written with sorted keys and no timestamps, CSV
@@ -39,7 +43,7 @@ import numpy as np
 
 from . import bartnik, geometry, mass, verification
 from .errors import QuasisphericalError
-from .evolution import Scheme, SolverConfig
+from .evolution import SolverConfig
 from .expressions import HExpression
 from .geometry import ProfileCurve, Sphere, Spheroid, SurfaceSpec
 
@@ -114,9 +118,7 @@ def parse_surface_spec(config: dict) -> SurfaceSpec:
 
 
 def parse_solver_config(config: dict) -> SolverConfig:
-    section = dict(config.get("solver", {}))
-    if "scheme" in section:
-        section["scheme"] = Scheme(section["scheme"])
+    section = config.get("solver", {})
     known = {f.name for f in dataclasses.fields(SolverConfig)}
     unknown = set(section) - known
     if unknown:
@@ -140,7 +142,8 @@ def _read_csv_columns(path: str, names: list[str]) -> dict:
 def _parse_field(
     section: dict, surface: geometry.ConvexSurface, what: str
 ) -> np.ndarray:
-    """Node field from one of: expression, node-aligned CSV, h0_multiple."""
+    """Positive node field from one of: expression, node-aligned CSV,
+    h0_multiple."""
     if not isinstance(section, dict):
         raise ValueError(f"config '{what}' must be an object")
     modes = [k for k in ("expression", "csv", "h0_multiple") if k in section]
@@ -151,22 +154,21 @@ def _parse_field(
     mode = modes[0]
     if mode == "expression":
         expr = HExpression.parse(section["expression"])
-        return expr.evaluate_positive_on_grid(surface)
-    if mode == "h0_multiple":
-        k = float(section["h0_multiple"])
-        if k <= 0:
-            raise ValueError(f"'{what}.h0_multiple' must be positive")
-        return k * bartnik.h0_of(surface)
-    cols = _read_csv_columns(section["csv"], ["theta", what])
-    theta = cols["theta"]
-    if theta.shape != surface.theta.shape or np.max(
-        np.abs(theta - surface.theta)
-    ) > 1e-9 * max(1.0, float(np.max(np.abs(surface.theta)))):
-        raise ValueError(
-            f"{section['csv']}: theta column must match the {surface.n_theta}-node "
-            "grid (cell centers of [0, pi])"
-        )
-    return cols[what]
+        values = expr.evaluate_positive_on_grid(surface)
+    elif mode == "h0_multiple":
+        values = float(section["h0_multiple"]) * bartnik.h0_of(surface)
+    else:
+        cols = _read_csv_columns(section["csv"], ["theta", what])
+        theta = cols["theta"]
+        if theta.shape != surface.theta.shape or np.max(
+            np.abs(theta - surface.theta)
+        ) > 1e-9 * max(1.0, float(np.max(np.abs(surface.theta)))):
+            raise ValueError(
+                f"{section['csv']}: theta column must match the {surface.n_theta}-node "
+                "grid (cell centers of [0, pi])"
+            )
+        values = cols[what]
+    return geometry.node_field(surface, values, what, positive=True)
 
 
 def _provenance(spec: SurfaceSpec, solver: SolverConfig) -> dict:
@@ -291,10 +293,7 @@ def cmd_certify(config: dict) -> int:
 
     result = bartnik.solve_mu0(data, mu_tol=mu_tol, mass_tol=mass_tol, config=solver)
     if "mu0_multiple" in section:
-        factor = float(section["mu0_multiple"])
-        if factor <= 0:
-            raise ValueError("'h_hat.mu0_multiple' must be positive")
-        h_hat = factor * result.mu0 * data.H
+        h_hat = float(section["mu0_multiple"]) * result.mu0 * data.H
     else:
         h_hat = _parse_field(section, data.surface, "h_hat")
 

@@ -122,7 +122,9 @@ def solve_cyclic_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
     if n < 3:
         raise ValueError("cyclic tridiagonal solve needs n >= 3")
 
-    gamma = -diag[..., 0]
+    # Any nonzero gamma is valid: -diag[0] (diag[0] - gamma does not
+    # cancel) where it is nonzero, 1 elsewhere.
+    gamma = np.where(diag[..., 0] != 0.0, -diag[..., 0], 1.0)
     bmod = diag.copy()
     bmod[..., 0] = diag[..., 0] - gamma
     bmod[..., -1] = diag[..., -1] - sup[..., -1] * sub[..., 0] / gamma
@@ -227,30 +229,10 @@ def step(
 
 
 def _normalize_initial(surface: ConvexSurface, u0) -> np.ndarray:
-    n = surface.n_theta
-    arr = np.asarray(u0, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(n, float(arr))
-    elif arr.ndim == 1:
-        if arr.shape[0] != n:
-            raise ValueError(f"u0 length {arr.shape[0]} != n_theta {n}")
-        arr = arr.copy()
-    elif arr.ndim == 2:
-        if arr.shape != (n, surface.n_phi):
-            raise ValueError(
-                f"u0 shape {arr.shape} != ({n}, {surface.n_phi})"
-            )
-        if np.all(arr == arr[:, :1]):
-            arr = arr[:, 0].copy()
-        else:
-            arr = arr.copy()
-    else:
-        raise ValueError(f"u0 must be scalar, 1-d, or 2-d, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("u0 must be finite")
-    if np.any(arr <= 0):
-        raise ValueError("u0 must be strictly positive")
-    return arr
+    arr = geometry.node_field(surface, u0, "u0", positive=True)
+    if arr.ndim == 2 and np.all(arr == arr[:, :1]):
+        arr = arr[:, 0]
+    return arr.copy()
 
 
 def _emission_radii(config: SolverConfig) -> list[float]:

@@ -15,7 +15,8 @@ minus, so -2^2 = -4.
 Parsing reports the byte offset of any failure; unknown names raise
 UnknownIdentifierError rather than silently evaluating.  Every expression
 re-serializes to a canonical fully-parenthesized form whose re-parse is
-identical, which is what the CLI stores in its outputs.
+identical.  The CLI does not store that form: its outputs embed the
+config, expression text included, as given.
 """
 
 from __future__ import annotations

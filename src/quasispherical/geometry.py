@@ -418,6 +418,28 @@ def frame_at(surface: ConvexSurface, r: float) -> FoliationFrame:
     )
 
 
+def node_field(grid, value, what: str, positive: bool = False) -> np.ndarray:
+    """A field on the nodes of grid, a ConvexSurface or a FoliationFrame.
+
+    A scalar becomes a constant (n_theta,) field; an array must have shape
+    (n_theta,) or (n_theta, n_phi).  With positive, every value must be
+    finite and > 0.  Anything else raises ValueError naming what.  The
+    result is a float array that may share memory with value.
+    """
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim == 0:
+        arr = np.full(grid.n_theta, float(arr))
+    elif arr.shape != (grid.n_theta,) and arr.shape != (grid.n_theta, grid.n_phi):
+        raise ValueError(
+            f"{what} has shape {arr.shape}, not (n_theta,) = ({grid.n_theta},) "
+            f"or (n_theta, n_phi) = ({grid.n_theta}, {grid.n_phi})"
+        )
+    # NaN fails both comparisons.
+    if positive and not np.all((arr > 0.0) & (arr < np.inf)):
+        raise ValueError(f"{what} must be finite and strictly positive")
+    return arr
+
+
 def integrate(frame: FoliationFrame, fld) -> float:
     """Surface integral of a scalar field over Sigma_r.
 
@@ -428,18 +450,10 @@ def integrate(frame: FoliationFrame, fld) -> float:
     arr = np.asarray(fld, dtype=float)
     if arr.ndim == 0:
         return float(arr) * frame.area
+    arr = node_field(frame, arr, "integrand")
     if arr.ndim == 1:
-        if arr.shape[0] != frame.n_theta:
-            raise ValueError(f"field length {arr.shape[0]} != n_theta {frame.n_theta}")
         return 2.0 * np.pi * float(np.sum(arr * frame.w))
-    if arr.ndim == 2:
-        if arr.shape != (frame.n_theta, frame.n_phi):
-            raise ValueError(
-                f"field shape {arr.shape} != (n_theta, n_phi) = "
-                f"({frame.n_theta}, {frame.n_phi})"
-            )
-        return frame.d_phi * float(np.sum(arr * frame.w[:, None]))
-    raise ValueError(f"field must be scalar, 1-d, or 2-d, got ndim={arr.ndim}")
+    return frame.d_phi * float(np.sum(arr * frame.w[:, None]))
 
 
 def per_node(arr: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -466,19 +480,12 @@ def laplacian(frame: FoliationFrame, fld: np.ndarray) -> np.ndarray:
     respect to integrate().
     """
     u = np.asarray(fld, dtype=float)
-    n = frame.n_theta
-    if u.ndim == 1:
-        if u.shape[0] != n:
-            raise ValueError(f"field length {u.shape[0]} != n_theta {n}")
-        return theta_laplacian(frame, u)
+    if u.ndim == 0:
+        raise ValueError("laplacian needs a 1-d or 2-d field, not a scalar")
+    u = node_field(frame, u, "field")
+    out = theta_laplacian(frame, u)
     if u.ndim == 2:
-        if u.shape != (n, frame.n_phi):
-            raise ValueError(
-                f"field shape {u.shape} != ({n}, {frame.n_phi})"
-            )
-        out = theta_laplacian(frame, u)
         out += (np.roll(u, -1, axis=1) - 2.0 * u + np.roll(u, 1, axis=1)) / (
             frame.G[:, None] * frame.d_phi * frame.d_phi
         )
-        return out
-    raise ValueError(f"field must be 1-d or 2-d, got ndim={u.ndim}")
+    return out

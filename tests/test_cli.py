@@ -159,6 +159,31 @@ def test_extend_rejects_ambiguous_initial_data(tmp_path):
     assert "exactly one" in err["error"]["message"]
 
 
+def test_extend_h_csv_with_a_zero_names_h(tmp_path):
+    surface = geometry.build_surface(
+        SurfaceSpec(shape=Sphere(radius=1.0), n_theta=16)
+    )
+    h = np.full(16, 2.0)
+    h[5] = 0.0
+    csv_path = tmp_path / "h.csv"
+    csv_path.write_text(
+        "theta,h\n"
+        + "\n".join(f"{t:.17g},{v:.17g}" for t, v in zip(surface.theta, h))
+        + "\n"
+    )
+    config = {
+        "surface": {"kind": "sphere", "radius": 1.0, "n_theta": 16},
+        "h": {"csv": str(csv_path)},
+        "output_dir": str(tmp_path / "out"),
+    }
+    cfg = write_config(tmp_path, "c.json", config)
+    assert cli.main(["extend", "--config", cfg]) == 1
+    err = read_json(tmp_path / "out" / "error.json")
+    assert err["error"]["type"] == "ValueError"
+    assert err["error"]["message"].startswith("h ")
+    assert "u0" not in err["error"]["message"]
+
+
 def test_extend_nonpositive_expression_is_an_error(tmp_path):
     config = extend_config(tmp_path / "out", u0="cos(theta)")
     cfg = write_config(tmp_path, "c.json", config)

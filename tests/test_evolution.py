@@ -211,6 +211,19 @@ def test_cyclic_tridiagonal_batch_rings_are_independent():
             assert np.array_equal(x[i, j], alone)
 
 
+def test_cyclic_tridiagonal_zero_first_diagonal_entry():
+    # A well-conditioned ring (condition number about 12) whose first
+    # diagonal entry is zero: the Sherman-Morrison shift must not be zero.
+    n = 6
+    sub = np.full(n, 0.5)
+    sup = np.full(n, 0.5)
+    diag = np.array([0.0, 2.0, 2.0, 2.0, 2.0, 2.0])
+    rhs = np.ones(n)
+    x = solve_cyclic_tridiagonal(sub, diag, sup, rhs)
+    dense = np.linalg.solve(dense_cyclic(sub, diag, sup), rhs)
+    assert np.max(np.abs(x - dense)) < 1e-12
+
+
 def test_cyclic_tridiagonal_zero_pivot_raises():
     n = 8
     diag = np.full(n, 2.0)

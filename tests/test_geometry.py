@@ -24,6 +24,7 @@ from quasispherical.geometry import (
     frame_at,
     integrate,
     laplacian,
+    node_field,
 )
 
 
@@ -323,6 +324,36 @@ def test_integrate_shape_validation(sphere64):
         integrate(f0, np.ones(sphere64.theta.size - 1))
     with pytest.raises(ValueError):
         integrate(f0, np.ones((sphere64.theta.size, sphere64.n_phi + 1)))
+
+
+def test_node_field_shapes(sphere64):
+    n, n_phi = sphere64.n_theta, sphere64.n_phi
+    for grid in (sphere64, frame_at(sphere64, 1.5)):
+        const = node_field(grid, 2, "c")
+        assert const.shape == (n,) and const.dtype == np.float64
+        assert np.all(const == 2.0)
+        for shape in ((n,), (n, n_phi)):
+            out = node_field(grid, np.ones(shape, dtype=int), "f")
+            assert out.shape == shape and out.dtype == np.float64
+            ones = np.ones(shape)
+            assert node_field(grid, ones, "f") is ones  # no copy
+        for shape in ((n - 1,), (n, n_phi + 1), (n, n_phi, 2)):
+            with pytest.raises(ValueError, match="f"):
+                node_field(grid, np.ones(shape), "f")
+
+
+def test_node_field_positive(sphere64):
+    n = sphere64.n_theta
+    assert np.all(node_field(sphere64, np.full(n, 1e-300), "g", positive=True) > 0)
+    # Without positive, values are not checked.
+    assert node_field(sphere64, -1.0, "g")[0] == -1.0
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        fld = np.full(n, 2.0)
+        fld[n // 2] = bad
+        with pytest.raises(ValueError, match="g"):
+            node_field(sphere64, fld, "g", positive=True)
+        with pytest.raises(ValueError, match="g"):
+            node_field(sphere64, bad, "g", positive=True)
 
 
 # ---------------------------------------------------------------------------
