@@ -98,20 +98,22 @@ def parse_surface_spec(config: dict) -> SurfaceSpec:
     kind = section.get("kind")
     n_theta = int(section.get("n_theta", 64))
     n_phi = int(section.get("n_phi", 16))
+
+    def need(key: str):
+        if key not in section:
+            raise ValueError(f"config 'surface' of kind {kind!r} needs '{key}'")
+        return section[key]
+
     if kind == "sphere":
-        shape = Sphere(float(section["radius"]))
+        shape = Sphere(float(need("radius")))
     elif kind == "spheroid":
-        shape = Spheroid(
-            float(section["equatorial_radius"]), float(section["polar_radius"])
-        )
+        shape = Spheroid(float(need("equatorial_radius")), float(need("polar_radius")))
     elif kind == "profile":
         if "csv" in section:
             rows = _read_csv_columns(section["csv"], ["theta", "x", "z"])
             shape = ProfileCurve.from_arrays(rows["theta"], rows["x"], rows["z"])
         else:
-            shape = ProfileCurve.from_arrays(
-                section["theta"], section["x"], section["z"]
-            )
+            shape = ProfileCurve.from_arrays(need("theta"), need("x"), need("z"))
     else:
         raise ValueError(f"unknown surface kind {kind!r}")
     return SurfaceSpec(shape=shape, n_theta=n_theta, n_phi=n_phi)
@@ -119,6 +121,8 @@ def parse_surface_spec(config: dict) -> SurfaceSpec:
 
 def parse_solver_config(config: dict) -> SolverConfig:
     section = config.get("solver", {})
+    if not isinstance(section, dict):
+        raise ValueError("config 'solver' must be an object")
     known = {f.name for f in dataclasses.fields(SolverConfig)}
     unknown = set(section) - known
     if unknown:
@@ -129,12 +133,14 @@ def parse_solver_config(config: dict) -> SolverConfig:
 def _read_csv_columns(path: str, names: list[str]) -> dict:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != names:
             raise ValueError(f"{path}: expected header {names}, got {header}")
         rows = [[float(v) for v in row] for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    if any(len(row) != len(names) for row in rows):
+        raise ValueError(f"{path}: every row needs {len(names)} values")
     columns = list(zip(*rows))
     return {name: np.array(col) for name, col in zip(names, columns)}
 
@@ -171,21 +177,44 @@ def _parse_field(
     return geometry.node_field(surface, values, what, positive=True)
 
 
-def _provenance(spec: SurfaceSpec, solver: SolverConfig) -> dict:
-    solver_dict = dataclasses.asdict(solver)
-    solver_dict["scheme"] = solver.scheme.value
-    return {
-        "surface_spec_hash": spec.spec_hash(),
-        "n_theta": spec.n_theta,
-        "n_phi": spec.n_phi,
-        "solver": solver_dict,
-    }
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(canonical_config_text(payload))
+
+
+def _write_result(
+    config: dict, name: str, payload: dict, spec: SurfaceSpec, solver: SolverConfig
+) -> None:
+    """Write one command's result JSON, stamped with the grid, the solver
+    and the effective config."""
+    payload["provenance"] = {
+        "surface_spec_hash": spec.spec_hash(),
+        "n_theta": spec.n_theta,
+        "n_phi": spec.n_phi,
+        "solver": dataclasses.asdict(solver),
+    }
+    payload["config"] = config
+    _write_json(_output_dir(config) / name, payload)
+
+
+def _write_csv(path: Path, names: list[str], *columns) -> None:
+    """One row per entry of the columns, 17 significant digits."""
+    np.savetxt(
+        path,
+        np.column_stack(columns),
+        fmt="%.17g",
+        delimiter=",",
+        header=",".join(names),
+        comments="",
+    )
+
+
+def _tolerances(config: dict, **keys: str) -> dict:
+    """Keyword arguments for the tolerances the config sets; keys maps each
+    parameter name to its config key, and the callee's defaults stand for
+    the rest."""
+    return {param: float(config[key]) for param, key in keys.items() if key in config}
 
 
 def _output_dir(config: dict) -> Path:
@@ -208,38 +237,38 @@ def cmd_extend(config: dict) -> int:
     else:
         H = _parse_field(config["h"], surface, "h")
         u0 = geometry.per_node(bartnik.h0_of(surface), H) / H
-    mass_tol = float(config.get("mass_tol", 1e-3))
+    tolerance = _tolerances(config, tol="mass_tol")
 
     series, final = mass.compute_mass_series(surface, u0, solver)
     out = _output_dir(config)
     out.mkdir(parents=True, exist_ok=True)
-    series.to_csv(out / "mass_series.csv")
-    _write_u_csv(out / "u_final.csv", surface, final.u)
+    _write_csv(
+        out / "mass_series.csv",
+        ["r", "m_upper", "m_lower"],
+        series.r,
+        series.upper,
+        series.lower,
+    )
+    u = final.u
+    if u.ndim == 1:
+        _write_csv(out / "u_final.csv", ["theta", "u"], surface.theta, u)
+    else:
+        phi = np.arange(surface.n_phi) * surface.d_phi
+        _write_csv(
+            out / "u_final.csv",
+            ["theta", "phi", "u"],
+            np.repeat(surface.theta, surface.n_phi),
+            np.tile(phi, surface.n_theta),
+            u.ravel(),
+        )
 
-    estimate = mass.estimate_mass(series, tol=mass_tol)
-    payload = dataclasses.asdict(estimate)
-    payload["provenance"] = _provenance(spec, solver)
-    payload["config"] = config
-    _write_json(out / "estimate.json", payload)
+    estimate = mass.estimate_mass(series, **tolerance)
+    _write_result(config, "estimate.json", dataclasses.asdict(estimate), spec, solver)
     print(
         f"mass {estimate.value:.10g} in [{estimate.bracket_lo:.10g}, "
         f"{estimate.bracket_hi:.10g}] at r={estimate.r_final:.6g}"
     )
     return EXIT_OK
-
-
-def _write_u_csv(path: Path, surface: geometry.ConvexSurface, u: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        if u.ndim == 1:
-            fh.write("theta,u\n")
-            for th, val in zip(surface.theta, u):
-                fh.write(f"{th:.17g},{val:.17g}\n")
-        else:
-            fh.write("theta,phi,u\n")
-            phi = np.arange(surface.n_phi) * surface.d_phi
-            for j, th in enumerate(surface.theta):
-                for k, ph in enumerate(phi):
-                    fh.write(f"{th:.17g},{ph:.17g},{u[j, k]:.17g}\n")
 
 
 def _bartnik_from_config(config: dict) -> tuple[SurfaceSpec, bartnik.BartnikData]:
@@ -251,28 +280,18 @@ def _bartnik_from_config(config: dict) -> tuple[SurfaceSpec, bartnik.BartnikData
     return spec, bartnik.BartnikData(surface=surface, H=H)
 
 
-def _mu0_payload(result: bartnik.Mu0Result) -> dict:
-    payload = dataclasses.asdict(result)
-    payload["bracket"] = list(result.bracket)
-    return payload
-
-
 def cmd_mu0(config: dict) -> int:
     """Solve for the critical scaling constant."""
     spec, data = _bartnik_from_config(config)
     solver = parse_solver_config(config)
-    mu_tol = float(config.get("mu_tol", 1e-3))
-    mass_tol = float(config.get("mass_tol", 1e-6))
-    result = bartnik.solve_mu0(data, mu_tol=mu_tol, mass_tol=mass_tol, config=solver)
+    tolerances = _tolerances(config, mu_tol="mu_tol", mass_tol="mass_tol")
+    result = bartnik.solve_mu0(data, config=solver, **tolerances)
     m1, m2 = bartnik.quasilocal_masses(data, mu0=result)
 
-    payload = _mu0_payload(result)
+    payload = dataclasses.asdict(result)
     payload["quasilocal_m1"] = m1
     payload["quasilocal_m2"] = m2
-    payload["provenance"] = _provenance(spec, solver)
-    payload["config"] = config
-    out = _output_dir(config)
-    _write_json(out / "mu0.json", payload)
+    _write_result(config, "mu0.json", payload, spec, solver)
     print(
         f"mu0 = {result.mu0:.10g} in [{result.bracket[0]:.10g}, "
         f"{result.bracket[1]:.10g}] ({result.iterations} evolutions)"
@@ -284,29 +303,27 @@ def cmd_certify(config: dict) -> int:
     """No-fill-in certificate for a candidate mean curvature h_hat."""
     spec, data = _bartnik_from_config(config)
     solver = parse_solver_config(config)
-    mu_tol = float(config.get("mu_tol", 1e-3))
-    mass_tol = float(config.get("mass_tol", 1e-6))
+    tolerances = _tolerances(config, mu_tol="mu_tol", mass_tol="mass_tol")
     margin = float(config.get("margin", 0.02))
     section = config.get("h_hat")
     if not isinstance(section, dict):
         raise ValueError("certify needs an 'h_hat' object")
-
-    result = bartnik.solve_mu0(data, mu_tol=mu_tol, mass_tol=mass_tol, config=solver)
-    if "mu0_multiple" in section:
-        h_hat = float(section["mu0_multiple"]) * result.mu0 * data.H
-    else:
+    # Only the mu0_multiple form waits for mu0: every other form is read and
+    # checked before the search.
+    h_hat = None
+    if "mu0_multiple" not in section:
         h_hat = _parse_field(section, data.surface, "h_hat")
+
+    result = bartnik.solve_mu0(data, config=solver, **tolerances)
+    if h_hat is None:
+        h_hat = float(section["mu0_multiple"]) * result.mu0 * data.H
 
     certificate = bartnik.certify_no_fill_in(
         data, h_hat, margin, mu0_result=result
     )
     payload = dataclasses.asdict(certificate)
-    payload["mu0_bracket"] = list(certificate.mu0_bracket)
-    payload["mu0_detail"] = _mu0_payload(result)
-    payload["provenance"] = _provenance(spec, solver)
-    payload["config"] = config
-    out = _output_dir(config)
-    _write_json(out / "certificate.json", payload)
+    payload["mu0_detail"] = dataclasses.asdict(result)
+    _write_result(config, "certificate.json", payload, spec, solver)
 
     status = "granted" if certificate.granted else (
         "inconclusive (exceptional case)" if certificate.exceptional_case
@@ -318,7 +335,9 @@ def cmd_certify(config: dict) -> int:
 
 def cmd_verify(config: dict) -> int:
     """Run the self-check battery and write a report."""
-    section = config.get("surface", {"kind": "sphere", "radius": 1.0})
+    section = config.get("surface", {})
+    if not isinstance(section, dict):
+        raise ValueError("config 'surface' must be an object")
     n_theta = int(section.get("n_theta", 64))
     n_phi = int(section.get("n_phi", 16))
     seed = int(config.get("seed", 0))
@@ -339,8 +358,7 @@ def cmd_verify(config: dict) -> int:
         "checks": [dataclasses.asdict(r) for r in results],
         "config": config,
     }
-    out = _output_dir(config)
-    _write_json(out / "verify.json", payload)
+    _write_json(_output_dir(config) / "verify.json", payload)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}")
     return EXIT_OK if all_passed else EXIT_ERROR
@@ -419,13 +437,9 @@ _SWEEP_COMMANDS = {"extend": cmd_extend, "mu0": cmd_mu0, "certify": cmd_certify}
 
 def _report_error(config: dict, err: Exception) -> None:
     payload = {"error": {"type": type(err).__name__, "message": str(err)}}
-    text = canonical_config_text(payload)
-    sys.stderr.write(text)
+    sys.stderr.write(canonical_config_text(payload))
     try:
-        out = _output_dir(config)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "error.json", "w") as fh:
-            fh.write(text)
+        _write_json(_output_dir(config) / "error.json", payload)
     except OSError:
         pass
 

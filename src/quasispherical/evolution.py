@@ -40,7 +40,7 @@ logger = logging.getLogger("quasispherical")
 _MAX_POSITIVITY_RETRIES = 10
 
 
-class Scheme(enum.Enum):
+class Scheme(str, enum.Enum):
     EXPLICIT_RK2 = "explicit_rk2"
     THETA_EXPLICIT_PHI_IMPLICIT = "theta_explicit_phi_implicit"
 

@@ -15,8 +15,6 @@ Schwarzschild mass parameter exactly.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -77,36 +75,13 @@ class MassSeries:
     def __len__(self) -> int:
         return self.r.shape[0]
 
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        buf.write("r,m_upper,m_lower\n")
-        for r, up, lo in zip(self.r, self.upper, self.lower):
-            buf.write(f"{r:.17g},{up:.17g},{lo:.17g}\n")
-        return buf.getvalue()
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv_text())
-
-    @classmethod
-    def from_csv(cls, path) -> "MassSeries":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != ["r", "m_upper", "m_lower"]:
-                raise ValueError(f"unexpected mass series header: {header}")
-            rows = [(float(a), float(b), float(c)) for a, b, c in reader]
-        r, up, lo = (np.array(col) for col in zip(*rows)) if rows else (
-            np.empty(0),
-            np.empty(0),
-            np.empty(0),
-        )
-        return cls(r=r, upper=up, lower=lo, step_index=np.full(r.shape, -1, dtype=int))
-
 
 @dataclass(frozen=True)
 class MassEstimate:
-    """Total mass in ADM units with its monotone bracket at the final leaf."""
+    """Total mass in ADM units with the rails' bracket at the final leaf.
+
+    The bracket holds the mass of the discrete solution; it leaves out the
+    discretization error of the march (ROADMAP item 4)."""
 
     value: float
     bracket_lo: float
@@ -154,11 +129,12 @@ def estimate_mass(series: MassSeries, tol: float = 1e-3) -> MassEstimate:
     """Total mass from a sampled series, in ADM units.
 
     The tail of m_upper is fit as m_inf + a/r over the last decade of radii
-    and the fitted limit is clamped into the rigorous bracket
-    (m_lower(r_final), m_upper(r_final)) / 8 pi.  Raises NotConvergedError
-    (carrying the partial estimate) when the bracket is wider than tol, and
-    ValueError when the series is too short to fit (< 3 positive-radius
-    samples spanning the final decade).
+    and the fitted limit is clamped into the bracket
+    (m_lower(r_final), m_upper(r_final)) / 8 pi, which holds the mass of the
+    discrete solution but not the march's discretization error.  Raises
+    NotConvergedError (carrying the partial estimate) when the bracket is
+    wider than tol, and ValueError when the series is too short to fit (< 3
+    positive-radius samples spanning the final decade).
     """
     if len(series) == 0:
         raise ValueError("empty mass series")

@@ -6,11 +6,18 @@ exit code 0 is success, 2 an inconclusive certificate, 1 an error.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quasispherical import cli, geometry
+import quasispherical
+from quasispherical import bartnik, cli, geometry, mass
+from quasispherical.evolution import Scheme, SolverConfig
+from quasispherical.expressions import HExpression
 from quasispherical.geometry import Sphere, SurfaceSpec
 
 
@@ -99,6 +106,68 @@ def test_extend_mass_series_header_and_format(tmp_path):
     assert float(first[1]) == float(repr(float(first[1])))
 
 
+@pytest.mark.parametrize(
+    "u0, n_phi, scheme",
+    [
+        ("1.5 + 0.2*cos(theta)", 8, "explicit_rk2"),
+        ("1.5 + 0.2*sin(theta)*cos(phi)", 8, "theta_explicit_phi_implicit"),
+    ],
+)
+def test_extend_csv_files_hold_the_library_arrays(tmp_path, u0, n_phi, scheme):
+    config = {
+        "surface": {"kind": "sphere", "radius": 1.0, "n_theta": 16, "n_phi": n_phi},
+        "solver": {"r_max": 20.0, "scheme": scheme},
+        "u0": {"expression": u0},
+        "mass_tol": 1.0,
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert cli.main(["extend", "--config", write_config(tmp_path, "c.json", config)]) == 0
+
+    surface = geometry.build_surface(
+        SurfaceSpec(shape=Sphere(radius=1.0), n_theta=16, n_phi=n_phi)
+    )
+    field = HExpression.parse(u0).evaluate_positive_on_grid(surface)
+    series, final = mass.compute_mass_series(
+        surface, field, SolverConfig(r_max=20.0, scheme=Scheme(scheme))
+    )
+    out = tmp_path / "out"
+    rails = cli._read_csv_columns(out / "mass_series.csv", ["r", "m_upper", "m_lower"])
+    assert np.array_equal(rails["r"], series.r)
+    assert np.array_equal(rails["m_upper"], series.upper)
+    assert np.array_equal(rails["m_lower"], series.lower)
+    if final.u.ndim == 1:
+        cols = cli._read_csv_columns(out / "u_final.csv", ["theta", "u"])
+        assert np.array_equal(cols["theta"], surface.theta)
+        assert np.array_equal(cols["u"], final.u)
+    else:
+        # One row per node, theta-major: phi runs fastest.
+        cols = cli._read_csv_columns(out / "u_final.csv", ["theta", "phi", "u"])
+        phi = np.arange(n_phi) * surface.d_phi
+        assert np.array_equal(cols["theta"], np.repeat(surface.theta, n_phi))
+        assert np.array_equal(cols["phi"], np.tile(phi, 16))
+        assert np.array_equal(cols["u"], final.u.ravel())
+
+
+@pytest.mark.parametrize(
+    "command, edit, named",
+    [
+        ("extend", lambda c: c["surface"].pop("radius"), "radius"),
+        ("extend", lambda c: c["surface"].update(kind="spheroid", equatorial_radius=1.0),
+         "polar_radius"),
+        ("extend", lambda c: c["surface"].update(kind="profile"), "theta"),
+        ("extend", lambda c: c.update(solver=5), "solver"),
+        ("verify", lambda c: c.update(surface=5), "surface"),
+    ],
+)
+def test_malformed_config_writes_error_json(tmp_path, command, edit, named):
+    config = extend_config(tmp_path / "out")
+    edit(config)
+    assert cli.main([command, "--config", write_config(tmp_path, "c.json", config)]) == 1
+    err = read_json(tmp_path / "out" / "error.json")
+    assert err["error"]["type"] == "ValueError"
+    assert f"'{named}'" in err["error"]["message"]
+
+
 def test_extend_from_prescribed_curvature(tmp_path):
     # h = 0.8 H0 corresponds to u0 = 1.25, a round data set of mass
     # (1/2)(1 - 1/1.25^2) = 0.18.
@@ -148,6 +217,25 @@ def test_extend_u0_csv_grid_mismatch(tmp_path):
     err = read_json(tmp_path / "out" / "error.json")
     assert err["error"]["type"] == "ValueError"
     assert "grid" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("ragged", [False, True])
+def test_extend_malformed_u0_csv_is_an_error(tmp_path, ragged):
+    # An empty file, or a file on the grid whose last row lacks its value.
+    text = ""
+    if ragged:
+        surf = geometry.build_surface(SurfaceSpec(shape=Sphere(radius=1.0), n_theta=16))
+        rows = [f"{t:.17g},1.5" for t in surf.theta]
+        rows[-1] = f"{surf.theta[-1]:.17g}"
+        text = "theta,u0\n" + "\n".join(rows) + "\n"
+    csv_path = tmp_path / "u0.csv"
+    csv_path.write_text(text)
+    config = extend_config(tmp_path / "out", n_theta=16)
+    config["u0"] = {"csv": str(csv_path)}
+    assert cli.main(["extend", "--config", write_config(tmp_path, "c.json", config)]) == 1
+    err = read_json(tmp_path / "out" / "error.json")
+    assert err["error"]["type"] == "ValueError"
+    assert err["error"]["message"].startswith(str(csv_path))
 
 
 def test_extend_rejects_ambiguous_initial_data(tmp_path):
@@ -230,6 +318,18 @@ def test_mu0_constant_curvature(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # certify
+
+
+def test_certify_checks_h_hat_before_the_mu0_search(tmp_path, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("solve_mu0 ran before h_hat was checked")
+
+    monkeypatch.setattr(bartnik, "solve_mu0", no_search)
+    config = certify_config(tmp_path / "out")
+    config["h_hat"] = {"expression": "cos(theta)"}
+    assert cli.main(["certify", "--config", write_config(tmp_path, "c.json", config)]) == 1
+    err = read_json(tmp_path / "out" / "error.json")
+    assert err["error"]["type"] == "NonPositiveOnGridError"
 
 
 def certify_config(out, h_expr="2*(1+0.3*cos(theta))", mu0_multiple=1.1):
@@ -330,6 +430,21 @@ def test_sweep_isolates_entry_failures(tmp_path):
     assert (tmp_path / "out" / "001" / "error.json").exists()
 
 
+def test_sweep_isolates_malformed_entries(tmp_path):
+    config = extend_config(tmp_path / "out", n_theta=32, r_max=100.0)
+    config["command"] = "extend"
+    config["sweep"] = [
+        {"u0": {"expression": "1.2"}},
+        {"surface": {"kind": "spheroid", "equatorial_radius": 1.0}},
+    ]
+    cfg = write_config(tmp_path, "c.json", config)
+    assert cli.main(["sweep", "--config", cfg]) == 1
+    summary = read_json(tmp_path / "out" / "sweep.json")
+    assert [e["exit_code"] for e in summary["entries"]] == [0, 1]
+    err = read_json(tmp_path / "out" / "001" / "error.json")
+    assert "'polar_radius'" in err["error"]["message"]
+
+
 def test_sweep_parallel_jobs_match_serial(tmp_path):
     base = extend_config(tmp_path / "serial", n_theta=32, r_max=100.0)
     base["command"] = "extend"
@@ -383,3 +498,17 @@ def test_unknown_solver_option_is_an_error(tmp_path):
     assert cli.main(["extend", "--config", cfg]) == 1
     err = read_json(tmp_path / "out" / "error.json")
     assert "warp_factor" in err["error"]["message"]
+
+
+def test_python_m_runs_the_cli():
+    src = Path(quasispherical.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quasispherical", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "certify" in proc.stdout

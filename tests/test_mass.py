@@ -154,23 +154,6 @@ def test_estimate_mass_needs_enough_samples():
 # serialization
 
 
-def test_series_csv_roundtrip(tmp_path, sphere32):
-    series, _ = compute_mass_series(sphere32, 1.4, SolverConfig(r_max=10.0))
-    path = tmp_path / "series.csv"
-    series.to_csv(path)
-    text = path.read_text()
-    assert text.splitlines()[0] == "r,m_upper,m_lower"
-    back = MassSeries.from_csv(path)
-    assert np.array_equal(back.r, series.r)
-    assert np.array_equal(back.upper, series.upper)
-    assert np.array_equal(back.lower, series.lower)
-
-
-def test_series_csv_text_is_deterministic(sphere32):
-    series, _ = compute_mass_series(sphere32, 1.4, SolverConfig(r_max=10.0))
-    assert series.to_csv_text() == series.to_csv_text()
-
-
 def test_estimate_is_json_serializable(sphere32):
     series, _ = compute_mass_series(sphere32, 1.4, SolverConfig(r_max=200.0))
     est = estimate_mass(series, tol=1e-2)
