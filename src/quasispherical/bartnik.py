@@ -59,7 +59,11 @@ class Mu0Result:
     """Critical scaling constant with its certification data.
 
     bracket is the final bisection interval; mass_at_lo / mass_at_hi are the
-    measured total masses (ADM units) at its ends, which straddle zero.
+    total masses (ADM units) at its ends, which straddle zero: each is the
+    marched estimate, or the rail bound at r = 0 when the rails there
+    settled that end's sign without a march.  After a midpoint whose mass
+    vanishes within mass_tol, they are the values at the ends before that
+    last narrowing.  iterations counts the marches made.
     lambda0_upper_bound is the certified upper bound for any fill-in
     threshold of the data (the conservative end of the bracket).
     """
@@ -138,12 +142,47 @@ def proportionality_diagnostic(
     return deviation <= tol * scale, float(k)
 
 
+def _scaled_u0(data: BartnikData, mu: float) -> np.ndarray:
+    """Initial factor H0 / (mu H) of the data scaled by mu."""
+    return geometry.per_node(h0_of(data.surface), data.H) / (mu * data.H)
+
+
+def _rails_at_base(
+    data: BartnikData, mu: float, mass_tol: float
+) -> Optional[mass.MassEstimate]:
+    """The mass at mu bracketed by the rails at r = 0, when they settle its
+    sign; None when a march is needed.
+
+    The lower rail never decreases along the march and the upper rail never
+    increases, so the total mass lies between their values on the base
+    surface, the first entry the march would emit.  A lower rail above
+    mass_tol settles the sign as positive (mu far enough below
+    analytic_lower), an upper rail below -mass_tol as negative (mu far
+    enough above analytic_upper).  The estimate's value is the settling
+    rail.  The discrete lower rail can fall by a small fraction of itself
+    (ROADMAP item 4), far too little to flip a sign settled this way.
+    """
+    frame0 = geometry.frame_at(data.surface, 0.0)
+    u0 = _scaled_u0(data, mu)
+    lower = mass.mass_lower_at(frame0, u0) / mass.ADM_NORMALIZATION
+    upper = mass.mass_at(frame0, u0) / mass.ADM_NORMALIZATION
+    if lower > mass_tol:
+        value = lower
+    elif upper < -mass_tol:
+        value = upper
+    else:
+        return None
+    return mass.MassEstimate(
+        value=value, bracket_lo=lower, bracket_hi=upper, residual=0.0, r_final=0.0
+    )
+
+
 def _probe_mass(
     data: BartnikData, mu: float, config: SolverConfig, mass_tol: float
 ) -> mass.MassEstimate:
-    """Total mass of the extension for the scaled data H0 / (mu H)."""
-    u0 = geometry.per_node(h0_of(data.surface), data.H) / (mu * data.H)
-    series, _ = mass.compute_mass_series(data.surface, u0, config)
+    """Total mass of the extension for the scaled data H0 / (mu H), marched
+    to config.r_max."""
+    series, _ = mass.compute_mass_series(data.surface, _scaled_u0(data, mu), config)
     try:
         return mass.estimate_mass(series, tol=mass_tol)
     except NotConvergedError as err:
@@ -174,18 +213,29 @@ def solve_mu0(
     starting bracket; the mass at the two ends must straddle zero
     (BracketFailureError otherwise).  Bisection stops when the bracket is
     narrower than mu_tol * mu0 or the midpoint mass vanishes within
-    mass_tol.
+    mass_tol.  Every probe, ends and midpoints alike, first reads the mass
+    rails at r = 0 and is marched only when they leave its sign open, so
+    the result's iterations counts marches, and a mass_at_lo / mass_at_hi
+    may be a rail bound at r = 0 (see Mu0Result).
     """
     if config is None:
         config = SolverConfig()
     analytic_lower, analytic_upper = mu0_bounds(data)
     is_euclidean, _ = proportionality_diagnostic(data)
+    iterations = 0
+
+    def probe(mu: float) -> mass.MassEstimate:
+        nonlocal iterations
+        settled = _rails_at_base(data, mu, mass_tol)
+        if settled is not None:
+            return settled
+        iterations += 1
+        return _probe_mass(data, mu, config, mass_tol)
 
     lo = 0.95 * analytic_lower
     hi = 1.05 * analytic_upper
-    est_lo = _probe_mass(data, lo, config, mass_tol)
-    est_hi = _probe_mass(data, hi, config, mass_tol)
-    iterations = 2
+    est_lo = probe(lo)
+    est_hi = probe(hi)
     if _certified_sign(est_lo, mass_tol) <= 0:
         raise BracketFailureError(
             f"mass at the low end mu={lo:.8g} is not positive "
@@ -199,11 +249,10 @@ def solve_mu0(
 
     while hi - lo > mu_tol * 0.5 * (lo + hi):
         mid = 0.5 * (lo + hi)
-        est_mid = _probe_mass(data, mid, config, mass_tol)
-        iterations += 1
+        est_mid = probe(mid)
         sign = _certified_sign(est_mid, mass_tol)
         logger.info(
-            "bisection %d: mu=[%.8g, %.8g], mid mass %.3e",
+            "bisection after %d marches: mu=[%.8g, %.8g], mid mass %.3e",
             iterations,
             lo,
             hi,
@@ -212,7 +261,10 @@ def solve_mu0(
         if sign == 0:
             # The mass at the midpoint vanishes within mass_tol, so mu0 is
             # localized to mass_tol divided by the local slope of the mass
-            # in mu; the slope is estimated from the certified endpoints.
+            # in mu; the slope is estimated from the masses at the ends.  A
+            # rail bound at r = 0 lies nearer zero than its end's mass (up to
+            # the discrete rail's drift), so the slope comes out smaller and
+            # the bracket wider.
             slope = (est_lo.value - est_hi.value) / (hi - lo)
             eps = mass_tol / max(slope, 1e-300)
             lo = max(lo, mid - eps)

@@ -218,7 +218,10 @@ def _tolerances(config: dict, **keys: str) -> dict:
 
 
 def _output_dir(config: dict) -> Path:
-    return Path(config.get("output_dir", "out"))
+    value = config.get("output_dir", "out")
+    if not isinstance(value, str):
+        raise ValueError(f"config 'output_dir' must be a string, got {value!r}")
+    return Path(value)
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +424,14 @@ def cmd_sweep(config: dict, jobs: int = 1) -> int:
 def _run_sweep_entry(command: str, entry_config: dict) -> int:
     try:
         return _SWEEP_COMMANDS[command](entry_config)
-    except (QuasisphericalError, ValueError, OSError) as err:
+    except _RUN_ERRORS as err:
         _report_error(entry_config, err)
         return EXIT_ERROR
 
+
+# What a run reports in error.json: a TypeError comes from a config value
+# of the wrong type, such as a list where a number belongs.
+_RUN_ERRORS = (QuasisphericalError, ValueError, TypeError, OSError)
 
 # The subcommands that take only a config: a sweep runs them, and main()
 # looks them up here.
@@ -440,7 +447,7 @@ def _report_error(config: dict, err: Exception) -> None:
     sys.stderr.write(canonical_config_text(payload))
     try:
         _write_json(_output_dir(config) / "error.json", payload)
-    except OSError:
+    except (OSError, ValueError):
         pass
 
 
@@ -494,12 +501,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         config = load_config(args.config, args.overrides)
         if args.output_dir is not None:
             config["output_dir"] = args.output_dir
+        _output_dir(config)  # a malformed output_dir fails before any march
         if args.command == "sweep":
             return cmd_sweep(config, jobs=args.jobs)
         if args.command == "verify":
             return cmd_verify(config)
         return _SWEEP_COMMANDS[args.command](config)
-    except (QuasisphericalError, ValueError, OSError, json.JSONDecodeError) as err:
+    except _RUN_ERRORS as err:
         _report_error(config if isinstance(config, dict) else {}, err)
         return EXIT_ERROR
 

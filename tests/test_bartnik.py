@@ -168,8 +168,95 @@ def test_mu0_bracket_failure(sphere32m, monkeypatch):
 
     monkeypatch.setattr(bartnik, "_probe_mass", always_positive)
     data = BartnikData(surface=sphere32m, H=np.full(32, 2.0))
+    # At the default mass_tol the rails at r = 0 settle both ends of the
+    # starting bracket (their masses are about +-0.05), so no end would reach
+    # the patched march; a mass_tol of 0.1 leaves both ends to it.
     with pytest.raises(BracketFailureError):
-        solve_mu0(data, config=FAST)
+        solve_mu0(data, mass_tol=0.1, config=FAST)
+
+
+def _tilted(surface):
+    return BartnikData(surface=surface, H=2.0 * (1.0 + 0.3 * np.cos(surface.theta)))
+
+
+def _tilted_or_proportional(which, sphere, spheroid):
+    if which == "tilted":
+        return _tilted(sphere)
+    return BartnikData(surface=spheroid, H=0.8 * h0_of(spheroid))
+
+
+def _counting_marches(monkeypatch):
+    """Wrap mass.compute_mass_series; returns the list of the u0 it marches."""
+    marched = []
+    original = mass.compute_mass_series
+
+    def counting(surface, u0, config):
+        marched.append(u0)
+        return original(surface, u0, config)
+
+    monkeypatch.setattr(mass, "compute_mass_series", counting)
+    return marched
+
+
+def test_mu0_settling_at_r0_changes_only_the_march_count(sphere32m, monkeypatch):
+    data = _tilted(sphere32m)
+    marched = _counting_marches(monkeypatch)
+    settled = solve_mu0(data, config=FAST)
+    settled_marches = len(marched)
+    monkeypatch.setattr(bartnik, "_rails_at_base", lambda data, mu, mass_tol: None)
+    all_marched = solve_mu0(data, config=FAST)
+    assert settled.bracket == all_marched.bracket
+    assert settled.mu0 == all_marched.mu0
+    assert settled.lambda0_upper_bound == all_marched.lambda0_upper_bound
+    assert settled.iterations == settled_marches < all_marched.iterations
+    assert all_marched.iterations == len(marched) - settled_marches
+
+
+@pytest.mark.parametrize("which", ["tilted", "proportional"])
+def test_mu0_marches_only_what_the_rails_leave_open(sphere32m, spheroid32m, which, monkeypatch):
+    data = _tilted_or_proportional(which, sphere32m, spheroid32m)
+    mass_tol = 1e-6
+    marched = _counting_marches(monkeypatch)
+    res = solve_mu0(data, mass_tol=mass_tol, config=FAST)
+    assert res.iterations == len(marched) > 0
+    frame0 = geometry.frame_at(data.surface, 0.0)
+    for u0 in marched:
+        assert mass.mass_lower_at(frame0, u0) / mass.ADM_NORMALIZATION <= mass_tol
+        assert mass.mass_at(frame0, u0) / mass.ADM_NORMALIZATION >= -mass_tol
+
+
+def _settled_band_edge(data, settled_mu, open_mu, mass_tol):
+    """The mu nearest open_mu whose sign the rails at r = 0 still settle."""
+    for _ in range(60):
+        mid = 0.5 * (settled_mu + open_mu)
+        if bartnik._rails_at_base(data, mid, mass_tol) is None:
+            open_mu = mid
+        else:
+            settled_mu = mid
+    return settled_mu
+
+
+@pytest.mark.parametrize("which", ["tilted", "proportional"])
+def test_marched_sign_agrees_with_the_rails_at_base(sphere32m, spheroid32m, which):
+    # Where the rails at r = 0 settle a sign by a margin of mass_tol, a march
+    # certifies the same sign.  At the very edge of the settled band the
+    # march may find the mass zero within mass_tol (on the spheroid it ends
+    # 2e-10 below the r = 0 rail), but never of the other sign.
+    data = _tilted_or_proportional(which, sphere32m, spheroid32m)
+    mass_tol = 1e-6
+    lower, upper = mu0_bounds(data)
+    for band, strict in ((2.0 * mass_tol, True), (mass_tol, False)):
+        edges = (
+            _settled_band_edge(data, 0.95 * lower, lower, band),
+            _settled_band_edge(data, 1.05 * upper, upper, band),
+        )
+        for mu, sign in zip(edges, (1, -1)):
+            settled = bartnik._rails_at_base(data, mu, mass_tol)
+            assert bartnik._certified_sign(settled, mass_tol) == sign
+            marched = bartnik._probe_mass(data, mu, FAST, mass_tol)
+            if strict:
+                assert bartnik._certified_sign(marched, mass_tol) == sign
+            assert sign * marched.bracket_lo > 0 and sign * marched.bracket_hi > 0
 
 
 def test_mu0_result_is_json_serializable(sphere32m):

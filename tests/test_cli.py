@@ -168,6 +168,26 @@ def test_malformed_config_writes_error_json(tmp_path, command, edit, named):
     assert f"'{named}'" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("override", ["surface.radius=[1]", "surface.n_theta=null"])
+def test_config_value_of_the_wrong_type_writes_error_json(tmp_path, override):
+    config = extend_config(tmp_path / "out")
+    cfg = write_config(tmp_path, "c.json", config)
+    assert cli.main(["extend", "--config", cfg, "--set", override]) == 1
+    err = read_json(tmp_path / "out" / "error.json")
+    assert err["error"]["type"] == "TypeError"
+
+
+def test_output_dir_of_the_wrong_type_is_an_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "c.json", extend_config("unused"))
+    assert cli.main(["extend", "--config", cfg, "--set", "output_dir=5"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValueError"
+    assert "'output_dir'" in err["error"]["message"]
+    # No directory can be named by 5, so nothing is written.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 def test_extend_from_prescribed_curvature(tmp_path):
     # h = 0.8 H0 corresponds to u0 = 1.25, a round data set of mass
     # (1/2)(1 - 1/1.25^2) = 0.18.
@@ -443,6 +463,18 @@ def test_sweep_isolates_malformed_entries(tmp_path):
     assert [e["exit_code"] for e in summary["entries"]] == [0, 1]
     err = read_json(tmp_path / "out" / "001" / "error.json")
     assert "'polar_radius'" in err["error"]["message"]
+
+
+def test_sweep_isolates_entries_with_values_of_the_wrong_type(tmp_path):
+    config = extend_config(tmp_path / "out", n_theta=32, r_max=100.0)
+    config["command"] = "extend"
+    config["sweep"] = [{"u0": {"expression": "1.2"}}, {"surface": {"radius": [1]}}]
+    cfg = write_config(tmp_path, "c.json", config)
+    assert cli.main(["sweep", "--config", cfg]) == 1
+    summary = read_json(tmp_path / "out" / "sweep.json")
+    assert [e["exit_code"] for e in summary["entries"]] == [0, 1]
+    err = read_json(tmp_path / "out" / "001" / "error.json")
+    assert err["error"]["type"] == "TypeError"
 
 
 def test_sweep_parallel_jobs_match_serial(tmp_path):
