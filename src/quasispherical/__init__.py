@@ -1,119 +1,9 @@
 """Quasi-spherical asymptotically flat extensions of convex surfaces of
 revolution: mass functionals along the parallel foliation, the critical
-mean-curvature scaling constant, and no-fill-in certificates."""
+mean-curvature scaling constant, and no-fill-in certificates.
 
-from .bartnik import (
-    BartnikData,
-    Certificate,
-    Mu0Result,
-    certify_no_fill_in,
-    h0_of,
-    mu0_bounds,
-    proportionality_diagnostic,
-    quasilocal_masses,
-    solve_mu0,
-)
-from .errors import (
-    BracketFailureError,
-    DegenerateProfileError,
-    ExpressionSyntaxError,
-    MarginTooSmallError,
-    NonConvexError,
-    NonFiniteError,
-    NonMonotoneErrorsError,
-    NonPositiveOnGridError,
-    NotConvergedError,
-    OracleMismatchError,
-    PositivityLossError,
-    QuasisphericalError,
-    StepUnderflowError,
-    UnknownIdentifierError,
-)
-from .evolution import (
-    QuasiSphericalState,
-    Scheme,
-    SolverConfig,
-    evolve,
-    select_step,
-    step,
-)
-from .expressions import HExpression
-from .geometry import (
-    ConvexSurface,
-    FoliationFrame,
-    ProfileCurve,
-    Sphere,
-    Spheroid,
-    SurfaceSpec,
-    build_surface,
-    frame_at,
-    integrate,
-    laplacian,
-)
-from .mass import (
-    ADM_NORMALIZATION,
-    MassEstimate,
-    MassSeries,
-    compute_mass_series,
-    decrement_rate,
-    estimate_mass,
-    mass_at,
-    mass_lower_at,
-)
-from .oracle import RadialSolution, convergence_order, radial_solve
+Names are imported from their modules, for example
+``from quasispherical import geometry, mass`` or
+``from quasispherical.bartnik import solve_mu0``."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ADM_NORMALIZATION",
-    "BartnikData",
-    "BracketFailureError",
-    "Certificate",
-    "ConvexSurface",
-    "DegenerateProfileError",
-    "ExpressionSyntaxError",
-    "FoliationFrame",
-    "HExpression",
-    "MarginTooSmallError",
-    "MassEstimate",
-    "MassSeries",
-    "Mu0Result",
-    "NonConvexError",
-    "NonFiniteError",
-    "NonMonotoneErrorsError",
-    "NonPositiveOnGridError",
-    "NotConvergedError",
-    "OracleMismatchError",
-    "PositivityLossError",
-    "ProfileCurve",
-    "QuasiSphericalState",
-    "QuasisphericalError",
-    "RadialSolution",
-    "Scheme",
-    "SolverConfig",
-    "Sphere",
-    "Spheroid",
-    "StepUnderflowError",
-    "SurfaceSpec",
-    "UnknownIdentifierError",
-    "build_surface",
-    "certify_no_fill_in",
-    "compute_mass_series",
-    "convergence_order",
-    "decrement_rate",
-    "estimate_mass",
-    "evolve",
-    "frame_at",
-    "h0_of",
-    "integrate",
-    "laplacian",
-    "mass_at",
-    "mass_lower_at",
-    "mu0_bounds",
-    "proportionality_diagnostic",
-    "quasilocal_masses",
-    "radial_solve",
-    "select_step",
-    "solve_mu0",
-    "step",
-]

@@ -126,20 +126,18 @@ def mu0_bounds(data: BartnikData) -> tuple[float, float]:
     return min(lower, upper), upper
 
 
-def proportionality_diagnostic(
-    data: BartnikData, tol: float = PROPORTIONALITY_TOL
-) -> tuple[bool, float]:
+def proportionality_diagnostic(data: BartnikData) -> tuple[bool, float]:
     """Detect H = H0 / k for a constant k (the Euclidean/rigidity case).
 
     Returns (is_proportional, k) with k = Int H0 / Int H; proportional means
-    max |k H - H0| <= tol * max H0.
+    max |k H - H0| <= PROPORTIONALITY_TOL * max H0.
     """
     int_h0, int_h, _ = _base_integrals(data)
     k = int_h0 / int_h
     h0 = geometry.per_node(h0_of(data.surface), data.H)
     deviation = float(np.max(np.abs(k * data.H - h0)))
     scale = float(np.max(np.abs(h0)))
-    return deviation <= tol * scale, float(k)
+    return deviation <= PROPORTIONALITY_TOL * scale, float(k)
 
 
 def _scaled_u0(data: BartnikData, mu: float) -> np.ndarray:
@@ -216,8 +214,13 @@ def solve_mu0(
     mass_tol.  Every probe, ends and midpoints alike, first reads the mass
     rails at r = 0 and is marched only when they leave its sign open, so
     the result's iterations counts marches, and a mass_at_lo / mass_at_hi
-    may be a rail bound at r = 0 (see Mu0Result).
+    may be a rail bound at r = 0 (see Mu0Result).  mu_tol and mass_tol must
+    be finite and positive (ValueError otherwise).
     """
+    for name, value in (("mu_tol", mu_tol), ("mass_tol", mass_tol)):
+        # NaN fails both comparisons.
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     if config is None:
         config = SolverConfig()
     analytic_lower, analytic_upper = mu0_bounds(data)
@@ -322,10 +325,11 @@ def certify_no_fill_in(
     provides a fill-in.  mu0_result is the data's solve_mu0 result.
 
     Raises MarginTooSmallError when the requested margin is below the
-    certified relative error of mu0 itself.
+    certified relative error of mu0 itself, and ValueError when it is not
+    finite and positive.
     """
-    if margin <= 0:
-        raise ValueError(f"margin must be positive, got {margin}")
+    if not 0.0 < margin < np.inf:
+        raise ValueError(f"margin must be finite and positive, got {margin}")
     h_hat = geometry.node_field(data.surface, h_hat, "h_hat", positive=True)
     if h_hat.shape != data.H.shape:
         raise ValueError(f"h_hat shape {h_hat.shape} != H shape {data.H.shape}")

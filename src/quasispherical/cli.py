@@ -9,9 +9,15 @@ Subcommands:
     verify   run the numerical self-check battery
     sweep    run one of the above over a list of config overrides
 
-verify reads only surface.n_theta, surface.n_phi, seed, checks and
-tolerance_scale: it runs on its built-in surfaces (the unit sphere, the
-1.0/1.2 spheroid and a few fixed others) and ignores the surface kind.
+verify reads only surface.n_theta, surface.n_phi, seed and checks: it
+runs on its built-in surfaces (the unit sphere, the 1.0/1.2 spheroid and a
+few fixed others) and ignores the surface kind.  Its discretization
+tolerances scale with n_theta alone.
+
+Tolerances (mu_tol, mass_tol, margin) and multiples (h0_multiple,
+mu0_multiple) must be finite and positive, and an expression must be a
+string; certify checks its whole config, h_hat included, before it
+marches.
 
 Configuration is a JSON file (--config) plus dotted-path overrides
 (--set a.b.c=value, value parsed as JSON when possible).  All outputs are
@@ -145,22 +151,41 @@ def _read_csv_columns(path: str, names: list[str]) -> dict:
     return {name: np.array(col) for name, col in zip(names, columns)}
 
 
+# The forms of a node field in the config; certify's h_hat also takes
+# mu0_multiple.
+_FIELD_FORMS = ("expression", "csv", "h0_multiple")
+
+
+def _field_form(section, what: str, forms: tuple[str, ...] = _FIELD_FORMS) -> str:
+    """The one of forms that config section what takes."""
+    if not isinstance(section, dict):
+        raise ValueError(f"config '{what}' must be an object")
+    modes = [k for k in forms if k in section]
+    if len(modes) != 1:
+        raise ValueError(f"config '{what}' needs exactly one of {'/'.join(forms)}")
+    return modes[0]
+
+
+def _positive(value, key: str) -> float:
+    """A config number that must be finite and > 0."""
+    number = float(value)
+    # NaN fails both comparisons.
+    if not 0.0 < number < np.inf:
+        raise ValueError(f"config '{key}' must be finite and positive, got {value!r}")
+    return number
+
+
 def _parse_field(
     section: dict, surface: geometry.ConvexSurface, what: str
 ) -> np.ndarray:
     """Positive node field from one of: expression, node-aligned CSV,
     h0_multiple."""
-    if not isinstance(section, dict):
-        raise ValueError(f"config '{what}' must be an object")
-    modes = [k for k in ("expression", "csv", "h0_multiple") if k in section]
-    if len(modes) != 1:
-        raise ValueError(
-            f"config '{what}' needs exactly one of expression/csv/h0_multiple"
-        )
-    mode = modes[0]
+    mode = _field_form(section, what)
     if mode == "expression":
-        expr = HExpression.parse(section["expression"])
-        values = expr.evaluate_positive_on_grid(surface)
+        text = section["expression"]
+        if not isinstance(text, str):
+            raise ValueError(f"config '{what}.expression' must be a string, got {text!r}")
+        values = HExpression.parse(text).evaluate_positive_on_grid(surface)
     elif mode == "h0_multiple":
         values = float(section["h0_multiple"]) * bartnik.h0_of(surface)
     else:
@@ -213,8 +238,11 @@ def _write_csv(path: Path, names: list[str], *columns) -> None:
 def _tolerances(config: dict, **keys: str) -> dict:
     """Keyword arguments for the tolerances the config sets; keys maps each
     parameter name to its config key, and the callee's defaults stand for
-    the rest."""
-    return {param: float(config[key]) for param, key in keys.items() if key in config}
+    the rest.  Each must be finite and positive, checked here so that a bad
+    one fails before any march."""
+    return {
+        param: _positive(config[key], key) for param, key in keys.items() if key in config
+    }
 
 
 def _output_dir(config: dict) -> Path:
@@ -306,20 +334,22 @@ def cmd_certify(config: dict) -> int:
     """No-fill-in certificate for a candidate mean curvature h_hat."""
     spec, data = _bartnik_from_config(config)
     solver = parse_solver_config(config)
-    tolerances = _tolerances(config, mu_tol="mu_tol", mass_tol="mass_tol")
-    margin = float(config.get("margin", 0.02))
+    tolerances = _tolerances(
+        config, mu_tol="mu_tol", mass_tol="mass_tol", margin="margin"
+    )
+    margin = tolerances.pop("margin", 0.02)
+    # Every form of h_hat is read and checked before the search; only
+    # mu0_multiple waits for mu0 to be applied.
     section = config.get("h_hat")
-    if not isinstance(section, dict):
-        raise ValueError("certify needs an 'h_hat' object")
-    # Only the mu0_multiple form waits for mu0: every other form is read and
-    # checked before the search.
     h_hat = None
-    if "mu0_multiple" not in section:
+    if _field_form(section, "h_hat", _FIELD_FORMS + ("mu0_multiple",)) == "mu0_multiple":
+        multiple = _positive(section["mu0_multiple"], "h_hat.mu0_multiple")
+    else:
         h_hat = _parse_field(section, data.surface, "h_hat")
 
     result = bartnik.solve_mu0(data, config=solver, **tolerances)
     if h_hat is None:
-        h_hat = float(section["mu0_multiple"]) * result.mu0 * data.H
+        h_hat = multiple * result.mu0 * data.H
 
     certificate = bartnik.certify_no_fill_in(
         data, h_hat, margin, mu0_result=result
@@ -345,16 +375,7 @@ def cmd_verify(config: dict) -> int:
     n_phi = int(section.get("n_phi", 16))
     seed = int(config.get("seed", 0))
     checks = config.get("checks")
-    tolerance_scale = config.get("tolerance_scale")
-    if tolerance_scale is not None:
-        tolerance_scale = float(tolerance_scale)
-    results = verification.run_suite(
-        n_theta=n_theta,
-        n_phi=n_phi,
-        seed=seed,
-        checks=checks,
-        tolerance_scale=tolerance_scale,
-    )
+    results = verification.run_suite(n_theta=n_theta, n_phi=n_phi, seed=seed, checks=checks)
     all_passed = all(r.passed for r in results)
     payload = {
         "passed": all_passed,

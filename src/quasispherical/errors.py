@@ -22,7 +22,7 @@ class DegenerateProfileError(QuasisphericalError):
 
 
 class StepUnderflowError(QuasisphericalError):
-    """The stability-limited step fell below dr_min."""
+    """The stability-limited step fell below the solver's floor of 1e-12."""
 
 
 class PositivityLossError(QuasisphericalError):
@@ -56,10 +56,6 @@ class BracketFailureError(QuasisphericalError):
 
 class MarginTooSmallError(QuasisphericalError):
     """Certificate margin is below the certified numerical error."""
-
-
-class OracleMismatchError(QuasisphericalError):
-    """Closed-form radial solution and the ODE integration disagree."""
 
 
 class NonMonotoneErrorsError(QuasisphericalError):

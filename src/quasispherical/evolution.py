@@ -38,6 +38,8 @@ from .geometry import ConvexSurface, FoliationFrame, per_node
 logger = logging.getLogger("quasispherical")
 
 _MAX_POSITIVITY_RETRIES = 10
+# A stability-limited step below this raises StepUnderflowError.
+_DR_MIN = 1e-12
 
 
 class Scheme(str, enum.Enum):
@@ -52,8 +54,10 @@ class SolverConfig:
     cfl_safety scales the diffusive stability step (valid range (0, 1]);
     r_max is the final radius; output_r0 and output_stride define the
     geometric ladder of emission radii r_k = output_r0 * output_stride^k
-    (plus r = 0 and r = r_max, always emitted); dr_min / dr_max clamp the
-    step.  A stability-required step below dr_min raises StepUnderflowError.
+    (plus r = 0 and r = r_max, always emitted).  Every number must be
+    finite.  The step is not clamped from above: landing on the next
+    ladder radius bounds it.  A stability-required step below 1e-12 raises
+    StepUnderflowError.
     """
 
     cfl_safety: float = 0.25
@@ -61,10 +65,12 @@ class SolverConfig:
     scheme: Scheme = Scheme.EXPLICIT_RK2
     output_stride: float = 1.2
     output_r0: float = 0.01
-    dr_min: float = 1e-12
-    dr_max: float = 10.0
 
     def __post_init__(self):
+        for name in ("cfl_safety", "r_max", "output_stride", "output_r0"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (0.0 < self.cfl_safety <= 1.0):
             raise ValueError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
         if self.r_max <= 0:
@@ -73,8 +79,6 @@ class SolverConfig:
             raise ValueError(f"output_stride must exceed 1, got {self.output_stride}")
         if self.output_r0 <= 0:
             raise ValueError(f"output_r0 must be positive, got {self.output_r0}")
-        if self.dr_min < 0 or self.dr_max <= self.dr_min:
-            raise ValueError("need 0 <= dr_min < dr_max")
         if not isinstance(self.scheme, Scheme):
             object.__setattr__(self, "scheme", Scheme(self.scheme))
 
@@ -159,8 +163,8 @@ def select_step(
     dr = cfl_safety * min over nodes of h^2 H0 / (4 u^2), where h is the
     smaller local metric grid spacing.  The azimuthal spacing is excluded
     for axisymmetric data and under the phi-implicit scheme (the implicit
-    solve removes that restriction).  The result is clamped to
-    [dr_min, dr_max]; a raw value below dr_min raises StepUnderflowError.
+    solve removes that restriction).  A value below 1e-12 raises
+    StepUnderflowError.
     """
     u = state.u
     h = np.sqrt(frame.E) * frame.d_theta
@@ -168,12 +172,12 @@ def select_step(
         h = np.minimum(h, np.sqrt(frame.G) * frame.d_phi)
     local = per_node(h * h * frame.H0, u) / (4.0 * u * u)
     dr = config.cfl_safety * float(local.min())
-    if dr < config.dr_min:
+    if dr < _DR_MIN:
         raise StepUnderflowError(
-            f"stability-limited step {dr:.3e} fell below dr_min={config.dr_min:.3e} "
-            f"at r={state.r:.6g}; coarsen the grid, raise dr_min, or switch scheme"
+            f"stability-limited step {dr:.3e} fell below {_DR_MIN:.0e} "
+            f"at r={state.r:.6g}; coarsen the grid or switch scheme"
         )
-    return min(dr, config.dr_max)
+    return dr
 
 
 def _check_stage(u: np.ndarray, r: float, dr: float, label: str) -> None:

@@ -133,9 +133,13 @@ def estimate_mass(series: MassSeries, tol: float = 1e-3) -> MassEstimate:
     (m_lower(r_final), m_upper(r_final)) / 8 pi, which holds the mass of the
     discrete solution but not the march's discretization error.  Raises
     NotConvergedError (carrying the partial estimate) when the bracket is
-    wider than tol, and ValueError when the series is too short to fit (< 3
-    positive-radius samples spanning the final decade).
+    wider than tol, and ValueError when tol is not finite and positive or
+    the series is too short to fit (< 3 positive-radius samples spanning the
+    final decade).
     """
+    # NaN fails both comparisons.
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if len(series) == 0:
         raise ValueError("empty mass series")
     r_final = float(series.r[-1])

@@ -2,10 +2,10 @@
 
 Each check returns a CheckResult with measured numbers in `details`, so a
 failing run shows what was violated and by how much.  Checks that probe
-discretization error accept a tolerance scale: at resolution n_theta the
-natural scale is (64 / n_theta)^2 relative to the reference tolerances,
-which are stated at n_theta = 64.  Roundoff-level invariants (divergence
-theorem, operator symmetry, exact fixed point) are never scaled.
+discretization error take a tolerance, which run_suite scales by
+(64 / n_theta)^2 at resolution n_theta; the reference tolerances are
+stated at n_theta = 64.  Roundoff-level invariants (divergence theorem,
+operator symmetry, exact fixed point) are never scaled.
 """
 
 from __future__ import annotations
@@ -361,15 +361,14 @@ def run_suite(
     n_phi: int = 16,
     seed: int = 0,
     checks: Optional[list[str]] = None,
-    tolerance_scale: Optional[float] = None,
 ) -> list[CheckResult]:
     """Run the named checks (all by default) and return their results.
 
-    tolerance_scale relaxes discretization tolerances; by default it is
+    Discretization tolerances are relaxed by discretization_scale(n_theta),
     (64 / n_theta)^2 when running coarser than the reference resolution.
     Roundoff invariants are unaffected by the scale.
     """
-    scale = discretization_scale(n_theta) if tolerance_scale is None else tolerance_scale
+    scale = discretization_scale(n_theta)
     sphere = geometry.build_surface(SurfaceSpec(Sphere(1.0), n_theta=n_theta, n_phi=n_phi))
     spheroid = geometry.build_surface(
         SurfaceSpec(Spheroid(1.0, 1.2), n_theta=n_theta, n_phi=n_phi)

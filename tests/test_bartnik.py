@@ -160,6 +160,19 @@ def test_mu0_scaling_equivariance(sphere32m):
     assert r2.mu0 == pytest.approx(0.5 * r1.mu0, rel=2e-3)
 
 
+@pytest.mark.parametrize(
+    "tolerances",
+    [{"mu_tol": np.nan}, {"mu_tol": np.inf}, {"mass_tol": np.nan}, {"mass_tol": 0.0}],
+)
+def test_mu0_rejects_tolerances_that_are_not_finite_and_positive(
+    sphere32m, monkeypatch, tolerances
+):
+    marched = _counting_marches(monkeypatch)
+    with pytest.raises(ValueError, match=next(iter(tolerances))):
+        solve_mu0(_tilted(sphere32m), config=FAST, **tolerances)
+    assert marched == []
+
+
 def test_mu0_bracket_failure(sphere32m, monkeypatch):
     def always_positive(data, mu, config, mass_tol):
         return mass.MassEstimate(
@@ -347,8 +360,9 @@ def test_certificate_margin_too_small(sphere32m):
 def test_certificate_input_validation(sphere32m):
     data = BartnikData(surface=sphere32m, H=np.full(32, 2.0))
     res = solve_mu0(data, config=FAST)
-    with pytest.raises(ValueError):
-        certify_no_fill_in(data, 1.5 * data.H, margin=0.0, mu0_result=res)
+    for margin in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            certify_no_fill_in(data, 1.5 * data.H, margin=margin, mu0_result=res)
     with pytest.raises(ValueError):
         certify_no_fill_in(data, 1.5 * data.H[:-1], margin=0.05, mu0_result=res)
     with pytest.raises(ValueError):

@@ -32,6 +32,20 @@ def read_json(path):
         return json.load(fh)
 
 
+@pytest.fixture
+def marches(monkeypatch):
+    """Wrap mass.compute_mass_series; the list grows by one per march."""
+    calls = []
+    original = mass.compute_mass_series
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mass, "compute_mass_series", counting)
+    return calls
+
+
 def extend_config(out, n_theta=48, r_max=200.0, u0="2"):
     return {
         "surface": {"kind": "sphere", "radius": 1.0, "n_theta": n_theta},
@@ -363,6 +377,54 @@ def certify_config(out, h_expr="2*(1+0.3*cos(theta))", mu0_multiple=1.1):
     }
 
 
+@pytest.mark.parametrize(
+    "h_hat, named",
+    [
+        ({"mu0_multiple": 1.1, "expression": "0.1"}, "exactly one"),
+        ({"mu0_multiple": -1}, "'h_hat.mu0_multiple'"),
+        ({"mu0_multiple": 0}, "'h_hat.mu0_multiple'"),
+        ({"mu0_multiple": "x"}, "'x'"),
+        ({"expression": 2}, "'h_hat.expression'"),
+    ],
+)
+def test_certify_rejects_a_malformed_h_hat_before_any_march(
+    tmp_path, marches, h_hat, named
+):
+    config = certify_config(tmp_path / "out")
+    config["h_hat"] = h_hat
+    assert cli.main(["certify", "--config", write_config(tmp_path, "c.json", config)]) == 1
+    err = read_json(tmp_path / "out" / "error.json")
+    assert err["error"]["type"] == "ValueError"
+    assert named in err["error"]["message"]
+    assert marches == []
+
+
+@pytest.mark.parametrize(
+    "command, override, named",
+    [
+        ("extend", "solver.r_max=NaN", "r_max"),
+        ("extend", "solver.output_stride=NaN", "output_stride"),
+        ("extend", "solver.output_r0=Infinity", "output_r0"),
+        ("extend", "mass_tol=NaN", "'mass_tol'"),
+        ("extend", "u0.expression=2", "'u0.expression'"),
+        ("mu0", "mu_tol=NaN", "'mu_tol'"),
+        ("mu0", "mass_tol=0", "'mass_tol'"),
+        ("certify", "margin=NaN", "'margin'"),
+        ("certify", "mu_tol=Infinity", "'mu_tol'"),
+    ],
+)
+def test_numbers_that_are_not_finite_and_positive_fail_before_any_march(
+    tmp_path, marches, command, override, named
+):
+    make = extend_config if command == "extend" else certify_config
+    cfg = write_config(tmp_path, "c.json", make(tmp_path / "out"))
+    assert cli.main([command, "--config", cfg, "--set", override]) == 1
+    err = read_json(tmp_path / "out" / "error.json")
+    assert err["error"]["type"] == "ValueError"
+    assert named in err["error"]["message"]
+    assert marches == []
+
+
 def test_certify_grants_above_critical(tmp_path):
     cfg = write_config(tmp_path, "c.json", certify_config(tmp_path / "out"))
     assert cli.main(["certify", "--config", cfg]) == 0
@@ -544,3 +606,18 @@ def test_python_m_runs_the_cli():
     )
     assert proc.returncode == 0
     assert "certify" in proc.stdout
+
+
+def test_cli_import_loads_neither_the_oracle_nor_scipy_integrate():
+    src = Path(quasispherical.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys, quasispherical.cli; "
+        "print([m for m in ('scipy.integrate', 'quasispherical.oracle') "
+        "if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

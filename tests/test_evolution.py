@@ -66,11 +66,11 @@ def test_select_step_grows_with_radius(sphere64):
     assert dr9 == pytest.approx(10.0 * dr0, rel=1e-12)
 
 
-def test_select_step_clamps_and_underflows(sphere64):
+def test_select_step_underflows(sphere64):
+    # dr scales as 1/u^2: u = 1e6 takes it far below the 1e-12 floor.
     f0 = frame_at(sphere64, 0.0)
-    assert select_step(state_of(np.ones(64)), f0, SolverConfig(dr_max=1e-6)) == 1e-6
     with pytest.raises(StepUnderflowError):
-        select_step(state_of(np.ones(64)), f0, SolverConfig(dr_min=1.0))
+        select_step(state_of(np.full(64, 1e6)), f0, SolverConfig())
 
 
 def test_select_step_phi_spacing_only_binds_explicit_2d(sphere64):
@@ -407,5 +407,7 @@ def test_solver_config_validation():
         SolverConfig(cfl_safety=1.5)
     with pytest.raises(ValueError):
         SolverConfig(output_stride=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(dr_min=1.0, dr_max=0.5)
+    for name in ("cfl_safety", "r_max", "output_stride", "output_r0"):
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{name: value})

@@ -150,6 +150,18 @@ def test_estimate_mass_needs_enough_samples():
         estimate_mass(series, tol=10.0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_estimate_mass_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    # A NaN tolerance would switch off the NotConvergedError check.
+    r = np.array([0.0, 100.0, 200.0, 500.0, 1000.0])
+    series = MassSeries(
+        r=r, upper=1.0 + 1.0 / (1.0 + r), lower=0.5 - 1.0 / (1.0 + r),
+        step_index=np.arange(5),
+    )
+    with pytest.raises(ValueError, match="tol"):
+        estimate_mass(series, tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -37,7 +37,7 @@ def test_fast_checks_pass_at_reference_resolution():
 
 def test_full_suite_passes_coarse_with_scaled_tolerances():
     # Half the reference resolution with the quadratic tolerance relaxation.
-    results = run_suite(n_theta=32, tolerance_scale=4.0)
+    results = run_suite(n_theta=32)
     assert [r.name for r in results] == ALL_CHECKS
     for r in results:
         assert r.passed, f"{r.name}: {r.details}"
