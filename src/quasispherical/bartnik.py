@@ -96,8 +96,9 @@ class Certificate:
 
 def h0_of(surface: ConvexSurface) -> np.ndarray:
     """Mean curvature of the base surface at the grid nodes (sum of the
-    principal curvatures; 2/rho on a round sphere of radius rho)."""
-    return surface.kappa1 + surface.kappa2
+    principal curvatures; 2/rho on a round sphere of radius rho): the leaf
+    at r = 0, so frame_at alone owns the formula."""
+    return geometry.frame_at(surface, 0.0).H0
 
 
 def _base_integrals(data: BartnikData) -> tuple[float, float, float]:
@@ -140,7 +141,7 @@ def proportionality_diagnostic(data: BartnikData) -> tuple[bool, float]:
     return deviation <= PROPORTIONALITY_TOL * scale, float(k)
 
 
-def _scaled_u0(data: BartnikData, mu: float) -> np.ndarray:
+def scaled_u0(data: BartnikData, mu: float) -> np.ndarray:
     """Initial factor H0 / (mu H) of the data scaled by mu."""
     return geometry.per_node(h0_of(data.surface), data.H) / (mu * data.H)
 
@@ -161,7 +162,7 @@ def _rails_at_base(
     (ROADMAP item 4), far too little to flip a sign settled this way.
     """
     frame0 = geometry.frame_at(data.surface, 0.0)
-    u0 = _scaled_u0(data, mu)
+    u0 = scaled_u0(data, mu)
     lower = mass.mass_lower_at(frame0, u0) / mass.ADM_NORMALIZATION
     upper = mass.mass_at(frame0, u0) / mass.ADM_NORMALIZATION
     if lower > mass_tol:
@@ -180,7 +181,7 @@ def _probe_mass(
 ) -> mass.MassEstimate:
     """Total mass of the extension for the scaled data H0 / (mu H), marched
     to config.r_max."""
-    series, _ = mass.compute_mass_series(data.surface, _scaled_u0(data, mu), config)
+    series, _ = mass.compute_mass_series(data.surface, scaled_u0(data, mu), config)
     try:
         return mass.estimate_mass(series, tol=mass_tol)
     except NotConvergedError as err:
@@ -217,10 +218,8 @@ def solve_mu0(
     may be a rail bound at r = 0 (see Mu0Result).  mu_tol and mass_tol must
     be finite and positive (ValueError otherwise).
     """
-    for name, value in (("mu_tol", mu_tol), ("mass_tol", mass_tol)):
-        # NaN fails both comparisons.
-        if not 0.0 < value < np.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    geometry.positive_number(mu_tol, "mu_tol")
+    geometry.positive_number(mass_tol, "mass_tol")
     if config is None:
         config = SolverConfig()
     analytic_lower, analytic_upper = mu0_bounds(data)
@@ -322,17 +321,16 @@ def certify_no_fill_in(
     borderline proportional case.  The borderline case (data proportional
     to H0 and h_hat sitting at mu0 H within the margin) is flagged
     exceptional and the certificate is withheld: there the flat ball itself
-    provides a fill-in.  mu0_result is the data's solve_mu0 result.
+    provides a fill-in.  mu0_result is the data's solve_mu0 result.  h_hat
+    and the data's H may each be axisymmetric or vary in phi; an
+    axisymmetric one is spread over phi.
 
     Raises MarginTooSmallError when the requested margin is below the
     certified relative error of mu0 itself, and ValueError when it is not
     finite and positive.
     """
-    if not 0.0 < margin < np.inf:
-        raise ValueError(f"margin must be finite and positive, got {margin}")
+    geometry.positive_number(margin, "margin")
     h_hat = geometry.node_field(data.surface, h_hat, "h_hat", positive=True)
-    if h_hat.shape != data.H.shape:
-        raise ValueError(f"h_hat shape {h_hat.shape} != H shape {data.H.shape}")
 
     mu0 = mu0_result.mu0
     bracket_lo, bracket_hi = mu0_result.bracket
@@ -343,7 +341,10 @@ def certify_no_fill_in(
             f"error {certified_error:.3e} of mu0; tighten mu_tol or raise margin"
         )
 
-    ratios = h_hat / data.H
+    # An (n_theta, 1) column broadcasts over phi, so an axisymmetric field
+    # pairs with a 2-d one in either order.
+    n_theta = data.surface.n_theta
+    ratios = h_hat.reshape(n_theta, -1) / data.H.reshape(n_theta, -1)
     ratio_min = float(np.min(ratios))
     ratio_max = float(np.max(ratios))
     margin_measured = ratio_min / bracket_hi - 1.0

@@ -20,13 +20,15 @@ string; certify checks its whole config, h_hat included, before it
 marches.
 
 Configuration is a JSON file (--config) plus dotted-path overrides
-(--set a.b.c=value, value parsed as JSON when possible).  All outputs are
-deterministic: JSON is written with sorted keys and no timestamps, CSV
-numbers use 17 significant digits, and each JSON document embeds the
-canonical effective config so outputs are reproducible byte for byte from
-themselves.  Exit codes: 0 success (certificate granted), 2 certificate
-inconclusive, 1 error (a machine-readable error.json is written when the
-output directory is known).
+(--set a.b.c=value, value parsed as JSON when possible).  A top-level key
+that no command reads, or a surface key that no surface kind reads, is an
+error before any march.  All outputs are deterministic: JSON is written
+with sorted keys and no timestamps, CSV numbers use 17 significant
+digits, and each JSON document embeds the canonical effective config so
+outputs are reproducible byte for byte from themselves.  Exit codes: 0
+success (certificate granted), 2 certificate inconclusive, 1 error (a
+machine-readable error.json is written when the output directory is
+known).
 
 The QS_LOG environment variable (debug/info/warning/error) controls log
 verbosity on stderr and nothing else.
@@ -129,11 +131,35 @@ def parse_solver_config(config: dict) -> SolverConfig:
     section = config.get("solver", {})
     if not isinstance(section, dict):
         raise ValueError("config 'solver' must be an object")
-    known = {f.name for f in dataclasses.fields(SolverConfig)}
-    unknown = set(section) - known
-    if unknown:
-        raise ValueError(f"unknown solver options {sorted(unknown)}")
+    fields = [f.name for f in dataclasses.fields(SolverConfig)]
+    _reject_unknown(section, fields, "solver options")
     return SolverConfig(**section)
+
+
+def _reject_unknown(section: dict, known, what: str) -> None:
+    unknown = set(section).difference(known)
+    if unknown:
+        raise ValueError(f"unknown {what} {sorted(unknown)}")
+
+
+# The top-level keys that some command reads, and the surface keys that some
+# surface kind reads.  The unions let a sweep entry change the kind.
+_CONFIG_KEYS = (
+    "surface", "solver", "u0", "h", "h_hat", "mu_tol", "mass_tol", "margin",
+    "output_dir", "seed", "checks", "sweep", "command",
+)
+_SURFACE_KEYS = (
+    "kind", "n_theta", "n_phi", "radius", "equatorial_radius", "polar_radius",
+    "csv", "theta", "x", "z",
+)
+
+
+def _check_config_keys(config: dict) -> None:
+    """Reject a misspelt top-level or surface key before any march."""
+    _reject_unknown(config, _CONFIG_KEYS, "config keys")
+    section = config.get("surface")
+    if isinstance(section, dict):
+        _reject_unknown(section, _SURFACE_KEYS, "surface keys")
 
 
 def _read_csv_columns(path: str, names: list[str]) -> dict:
@@ -168,11 +194,11 @@ def _field_form(section, what: str, forms: tuple[str, ...] = _FIELD_FORMS) -> st
 
 def _positive(value, key: str) -> float:
     """A config number that must be finite and > 0."""
-    number = float(value)
-    # NaN fails both comparisons.
-    if not 0.0 < number < np.inf:
-        raise ValueError(f"config '{key}' must be finite and positive, got {value!r}")
-    return number
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config '{key}' must be a number, got {value!r}") from None
+    return geometry.positive_number(number, f"config '{key}'")
 
 
 def _parse_field(
@@ -267,7 +293,7 @@ def cmd_extend(config: dict) -> int:
         u0 = _parse_field(config["u0"], surface, "u0")
     else:
         H = _parse_field(config["h"], surface, "h")
-        u0 = geometry.per_node(bartnik.h0_of(surface), H) / H
+        u0 = bartnik.scaled_u0(bartnik.BartnikData(surface=surface, H=H), 1.0)
     tolerance = _tolerances(config, tol="mass_tol")
 
     series, final = mass.compute_mass_series(surface, u0, solver)
@@ -444,6 +470,7 @@ def cmd_sweep(config: dict, jobs: int = 1) -> int:
 
 def _run_sweep_entry(command: str, entry_config: dict) -> int:
     try:
+        _check_config_keys(entry_config)
         return _SWEEP_COMMANDS[command](entry_config)
     except _RUN_ERRORS as err:
         _report_error(entry_config, err)
@@ -523,6 +550,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.output_dir is not None:
             config["output_dir"] = args.output_dir
         _output_dir(config)  # a malformed output_dir fails before any march
+        _check_config_keys(config)
         if args.command == "sweep":
             return cmd_sweep(config, jobs=args.jobs)
         if args.command == "verify":

@@ -40,6 +40,9 @@ logger = logging.getLogger("quasispherical")
 _MAX_POSITIVITY_RETRIES = 10
 # A stability-limited step below this raises StepUnderflowError.
 _DR_MIN = 1e-12
+# The emission ladder: _OUTPUT_R0 * _OUTPUT_STRIDE^k below r_max.
+_OUTPUT_R0 = 0.01
+_OUTPUT_STRIDE = 1.2
 
 
 class Scheme(str, enum.Enum):
@@ -52,33 +55,22 @@ class SolverConfig:
     """Marching parameters.
 
     cfl_safety scales the diffusive stability step (valid range (0, 1]);
-    r_max is the final radius; output_r0 and output_stride define the
-    geometric ladder of emission radii r_k = output_r0 * output_stride^k
-    (plus r = 0 and r = r_max, always emitted).  Every number must be
-    finite.  The step is not clamped from above: landing on the next
-    ladder radius bounds it.  A stability-required step below 1e-12 raises
-    StepUnderflowError.
+    r_max is the final radius, finite and positive.  Emissions happen on
+    the fixed geometric ladder r_k = 0.01 * 1.2^k (plus r = 0 and r = r_max,
+    always emitted).  The step is not clamped from above: landing on the
+    next ladder radius bounds it.  A stability-required step below 1e-12
+    raises StepUnderflowError.
     """
 
     cfl_safety: float = 0.25
     r_max: float = 1000.0
     scheme: Scheme = Scheme.EXPLICIT_RK2
-    output_stride: float = 1.2
-    output_r0: float = 0.01
 
     def __post_init__(self):
-        for name in ("cfl_safety", "r_max", "output_stride", "output_r0"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not (0.0 < self.cfl_safety <= 1.0):
+        geometry.positive_number(self.cfl_safety, "cfl_safety")
+        if self.cfl_safety > 1.0:
             raise ValueError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
-        if self.r_max <= 0:
-            raise ValueError(f"r_max must be positive, got {self.r_max}")
-        if self.output_stride <= 1.0:
-            raise ValueError(f"output_stride must exceed 1, got {self.output_stride}")
-        if self.output_r0 <= 0:
-            raise ValueError(f"output_r0 must be positive, got {self.output_r0}")
+        geometry.positive_number(self.r_max, "r_max")
         if not isinstance(self.scheme, Scheme):
             object.__setattr__(self, "scheme", Scheme(self.scheme))
 
@@ -240,15 +232,15 @@ def _normalize_initial(surface: ConvexSurface, u0) -> np.ndarray:
 
 
 def _emission_radii(config: SolverConfig) -> list[float]:
-    """The ladder output_r0 * output_stride^k below r_max, then r_max.
+    """The ladder 0.01 * 1.2^k below r_max, then r_max.
 
     A rung within 1e-12 r_max of r_max is snapped onto it, so it is emitted
     once, as r_max."""
     radii = []
-    r = config.output_r0
+    r = _OUTPUT_R0
     while r < config.r_max:
         radii.append(r)
-        r *= config.output_stride
+        r *= _OUTPUT_STRIDE
         if abs(r - config.r_max) < 1e-12 * config.r_max:
             r = config.r_max
     radii.append(config.r_max)
@@ -264,7 +256,7 @@ def evolve(
     """March from r = 0 to config.r_max; returns the final state.
 
     The observer (if given) is called at r = 0, at every ladder radius
-    output_r0 * output_stride^k, and at r_max; ladder radii are landed on
+    0.01 * 1.2^k below r_max, and at r_max; ladder radii are landed on
     exactly, so runs with different initial data emit at identical radii.
     On positivity loss the step is halved and retried up to 10 times before
     the error propagates.

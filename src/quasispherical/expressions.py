@@ -13,17 +13,15 @@ Functions: sin, cos, exp, sqrt.  Exponentiation binds tighter than unary
 minus, so -2^2 = -4.
 
 Parsing reports the byte offset of any failure; unknown names raise
-UnknownIdentifierError rather than silently evaluating.  Every expression
-re-serializes to a canonical fully-parenthesized form whose re-parse is
-identical.  The CLI does not store that form: its outputs embed the
-config, expression text included, as given.
+UnknownIdentifierError rather than silently evaluating.  The parser
+records the variables it accepts.  The CLI's outputs embed the config,
+expression text included, as given.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -74,6 +72,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.variables: set = set()
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -146,6 +145,7 @@ class _Parser:
                 return ("call", value, arg)
             if value not in _VARIABLES:
                 raise UnknownIdentifierError(value, offset)
+            self.variables.add(value)
             return ("var", value)
         if kind == "op" and value == "(":
             node = self.expr()
@@ -183,53 +183,20 @@ def _evaluate(node, env: dict) -> np.ndarray:
     raise AssertionError(f"corrupt node {node!r}")
 
 
-def _canonical(node) -> str:
-    tag = node[0]
-    if tag == "num":
-        return repr(node[1])
-    if tag == "var":
-        return node[1]
-    if tag == "neg":
-        return f"(-{_canonical(node[1])})"
-    if tag == "call":
-        return f"{node[1]}({_canonical(node[2])})"
-    if tag == "bin":
-        _, op, left, right = node
-        return f"({_canonical(left)} {op} {_canonical(right)})"
-    raise AssertionError(f"corrupt node {node!r}")
-
-
-def _variables(node, out: set) -> set:
-    tag = node[0]
-    if tag == "var":
-        out.add(node[1])
-    elif tag == "neg":
-        _variables(node[1], out)
-    elif tag == "call":
-        _variables(node[2], out)
-    elif tag == "bin":
-        _variables(node[2], out)
-        _variables(node[3], out)
-    return out
-
-
 @dataclass(frozen=True)
 class HExpression:
-    """Parsed expression in theta (and optionally phi)."""
+    """Parsed expression in theta (and optionally phi); variables holds the
+    names it uses."""
 
     source: str
     ast: tuple
+    variables: frozenset
 
     @classmethod
     def parse(cls, text: str) -> "HExpression":
-        return cls(source=text, ast=_Parser(text).parse())
-
-    @property
-    def variables(self) -> frozenset:
-        return frozenset(_variables(self.ast, set()))
-
-    def canonical(self) -> str:
-        return _canonical(self.ast)
+        parser = _Parser(text)
+        ast = parser.parse()
+        return cls(source=text, ast=ast, variables=frozenset(parser.variables))
 
     def evaluate(self, theta, phi=None) -> np.ndarray:
         env = {"theta": np.asarray(theta, dtype=float)}

@@ -418,6 +418,14 @@ def frame_at(surface: ConvexSurface, r: float) -> FoliationFrame:
     )
 
 
+def positive_number(value: float, what: str) -> float:
+    """value when it is finite and > 0; otherwise a ValueError naming what."""
+    # NaN fails both comparisons.
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{what} must be finite and positive, got {value}")
+    return value
+
+
 def node_field(grid, value, what: str, positive: bool = False) -> np.ndarray:
     """A field on the nodes of grid, a ConvexSurface or a FoliationFrame.
 

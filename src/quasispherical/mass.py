@@ -137,9 +137,7 @@ def estimate_mass(series: MassSeries, tol: float = 1e-3) -> MassEstimate:
     the series is too short to fit (< 3 positive-radius samples spanning the
     final decade).
     """
-    # NaN fails both comparisons.
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    geometry.positive_number(tol, "tol")
     if len(series) == 0:
         raise ValueError("empty mass series")
     r_final = float(series.r[-1])
@@ -147,7 +145,7 @@ def estimate_mass(series: MassSeries, tol: float = 1e-3) -> MassEstimate:
     if int(np.sum(window)) < 3:
         raise ValueError(
             "mass series too short: need >= 3 samples in the last decade of r "
-            f"(got {int(np.sum(window))}); extend r_max or lower output_r0"
+            f"(got {int(np.sum(window))}); extend r_max"
         )
 
     rw = series.r[window]

@@ -120,15 +120,15 @@ def check_eigenfunction_azimuthal(n_theta: int = 64, n_phi: int = 64) -> CheckRe
     )
 
 
-def check_offset_consistency(n_theta: int = 64, r: float = 0.7) -> CheckResult:
+def check_offset_consistency(n_theta: int = 64) -> CheckResult:
     """Closed-form leaf geometry against an independent rebuild.
 
-    The leaf Sigma_r of a spheroid is embedded explicitly (base point plus
-    r times the unit normal), resampled as a raw profile curve, and pushed
-    through the finite-difference profile pipeline; its curvatures must
-    match the offset formulas used by frame_at.
+    The leaf Sigma_r at r = 0.7 of a spheroid is embedded explicitly (base
+    point plus r times the unit normal), resampled as a raw profile curve,
+    and pushed through the finite-difference profile pipeline; its
+    curvatures must match the offset formulas used by frame_at.
     """
-    a, c = 1.0, 1.2
+    a, c, r = 1.0, 1.2, 0.7
     dense = 16384
     t = np.linspace(0.0, np.pi, dense + 1)
     x = a * np.sin(t)
@@ -203,9 +203,9 @@ def check_round_sphere_exactness(n_theta: int = 64) -> CheckResult:
     )
 
 
-def check_fixed_point(surface: ConvexSurface, r_max: float = 20.0) -> CheckResult:
-    """u = 1 is preserved exactly and carries zero mass."""
-    config = SolverConfig(r_max=r_max)
+def check_fixed_point(surface: ConvexSurface) -> CheckResult:
+    """u = 1 is preserved exactly to r = 20 and carries zero mass."""
+    config = SolverConfig(r_max=20.0)
     final = evolve(surface, 1.0, config)
     dev = float(np.max(np.abs(final.u - 1.0)))
     frame = geometry.frame_at(surface, final.r)
@@ -240,13 +240,12 @@ def check_mass_monotonicity(
     )
 
 
-def check_mass_decrement_match(
-    surface: ConvexSurface, u0, r_max: float = 20.0, tol: float = 0.05
-) -> CheckResult:
+def check_mass_decrement_match(surface: ConvexSurface, u0, tol: float = 0.05) -> CheckResult:
     """Measured decrease of m_upper between emissions matches the exact
     decrement rate integral to the given relative tolerance (trapezoid in
-    r over the emission ladder, compared on the mid-range of radii)."""
-    config = SolverConfig(r_max=r_max)
+    r over the emission ladder to r = 20, compared on the radii in
+    [0.5, 10])."""
+    config = SolverConfig(r_max=20.0)
     rates = []
 
     def observe(state):
@@ -257,7 +256,7 @@ def check_mass_decrement_match(
     r = series.r
     worst = 0.0
     for i in range(len(r) - 1):
-        if not (0.5 <= r[i] and r[i + 1] <= 0.5 * r_max):
+        if not (0.5 <= r[i] and r[i + 1] <= 10.0):
             continue
         measured = series.upper[i + 1] - series.upper[i]
         predicted = 0.5 * (rates[i] + rates[i + 1]) * (r[i + 1] - r[i])
@@ -266,14 +265,13 @@ def check_mass_decrement_match(
     return _result("mass_decrement_match", worst <= tol, worst_rel=worst, tol=tol)
 
 
-def check_comparison_principle(
-    surface: ConvexSurface, r_max: float = 10.0, tol: float = 1e-8
-) -> CheckResult:
-    """Ordered data stays ordered: u0 >= v0 implies u >= v - tol at every
-    emission (v here is the constant equal to min u0)."""
+def check_comparison_principle(surface: ConvexSurface) -> CheckResult:
+    """Ordered data stays ordered: u0 >= v0 implies u >= v - 1e-8 at every
+    emission to r = 10 (v here is the constant equal to min u0)."""
+    tol = 1e-8
     u0 = 1.0 + 0.1 * np.cos(surface.theta)
     v0 = float(np.min(u0))
-    config = SolverConfig(r_max=r_max)
+    config = SolverConfig(r_max=10.0)
     emitted_u = []
     emitted_v = []
     evolve(surface, u0, config, observer=lambda s: emitted_u.append(s.u.copy()))
@@ -284,12 +282,11 @@ def check_comparison_principle(
     return _result("comparison_principle", worst <= tol, worst=worst, tol=tol)
 
 
-def check_scale_monotonicity(
-    surface: ConvexSurface, r_max: float = 200.0
-) -> CheckResult:
-    """Total mass is strictly increasing in t for data t * u0."""
+def check_scale_monotonicity(surface: ConvexSurface) -> CheckResult:
+    """Total mass, bracketed by the rails at r = 200, is strictly increasing
+    in t for data t * u0."""
     u0 = 1.0 + 0.3 * np.cos(surface.theta) ** 2
-    config = SolverConfig(r_max=r_max)
+    config = SolverConfig(r_max=200.0)
     masses = []
     for t in (0.5, 0.75, 1.0, 1.5, 2.0):
         series, _ = compute_mass_series(surface, t * u0, config)
@@ -301,12 +298,10 @@ def check_scale_monotonicity(
     return _result("scale_monotonicity", ok, brackets=[list(m) for m in masses])
 
 
-def check_expansion_slope(
-    surface: ConvexSurface, r_max: float = 500.0, tol: float = 0.05
-) -> CheckResult:
-    """Decay calibration: (u - 1) * r at the final leaf equals the ADM mass
-    (area average, one constant across different data sets)."""
-    config = SolverConfig(r_max=r_max)
+def check_expansion_slope(surface: ConvexSurface, tol: float = 0.05) -> CheckResult:
+    """Decay calibration: (u - 1) * r at the final leaf, r = 500, equals the
+    ADM mass (area average, one constant across different data sets)."""
+    config = SolverConfig(r_max=500.0)
     ratios = []
     for c in (0.8, 1.3, 2.0):
         series, final = compute_mass_series(surface, c, config)
@@ -319,11 +314,11 @@ def check_expansion_slope(
     return _result("expansion_slope", worst <= tol, ratios=ratios, tol=tol)
 
 
-def check_critical_scaling(
-    n_theta: int = 48, r_max: float = 300.0, mu_tol: float = 2e-3
-) -> CheckResult:
-    """One full critical-constant solve: zero crossing, analytic bounds
-    chain, and the strict gap to the upper bound for non-proportional data."""
+def check_critical_scaling(n_theta: int = 48) -> CheckResult:
+    """One full critical-constant solve (r_max = 300, mu_tol = 2e-3): zero
+    crossing, analytic bounds chain, and the strict gap to the upper bound
+    for non-proportional data."""
+    mu_tol = 2e-3
     surface = geometry.build_surface(SurfaceSpec(Sphere(1.0), n_theta=n_theta))
     h0 = bartnik.h0_of(surface)
     # The tilt amplitude sets the distance between mu0 and the upper bound;
@@ -331,7 +326,7 @@ def check_critical_scaling(
     # inequality is measurable, not marginal.
     H = h0 * (1.0 + 0.6 * np.cos(surface.theta))
     data = BartnikData(surface=surface, H=H)
-    config = SolverConfig(r_max=r_max)
+    config = SolverConfig(r_max=300.0)
     result = bartnik.solve_mu0(data, mu_tol=mu_tol, mass_tol=1e-5, config=config)
     crossing = result.mass_at_lo > 0.0 > result.mass_at_hi
     chain = (

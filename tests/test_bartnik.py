@@ -367,3 +367,36 @@ def test_certificate_input_validation(sphere32m):
         certify_no_fill_in(data, 1.5 * data.H[:-1], margin=0.05, mu0_result=res)
     with pytest.raises(ValueError):
         certify_no_fill_in(data, -1.5 * data.H, margin=0.05, mu0_result=res)
+
+
+def test_certificate_pairs_axisymmetric_and_azimuthal_fields(sphere32m):
+    # A hand-made mu0 result: nothing is marched.
+    res = bartnik.Mu0Result(
+        mu0=0.8,
+        bracket=(0.7995, 0.8005),
+        mass_at_lo=1e-3,
+        mass_at_hi=-1e-3,
+        analytic_lower=0.75,
+        analytic_upper=0.85,
+        iterations=0,
+        lambda0_upper_bound=0.8005,
+        is_euclidean_case=False,
+    )
+    phi = np.arange(sphere32m.n_phi) * sphere32m.d_phi
+    axisym = 2.0 * (1.0 + 0.3 * np.cos(sphere32m.theta))
+    full = axisym[:, None] * (1.0 + 0.01 * np.cos(phi))[None, :]
+
+    def spread(field):
+        return np.broadcast_to(field.reshape(sphere32m.n_theta, -1), full.shape)
+
+    for H, h_hat, ratio_min in (
+        (axisym, 1.5 * full, 1.5 * 0.99),
+        (full, 1.5 * axisym, 1.5 / 1.01),
+    ):
+        data = BartnikData(surface=sphere32m, H=H)
+        cert = certify_no_fill_in(data, h_hat, margin=0.05, mu0_result=res)
+        # The same pair with the axisymmetric field spread over phi.
+        both = BartnikData(surface=sphere32m, H=spread(H))
+        assert cert == certify_no_fill_in(both, spread(h_hat), margin=0.05, mu0_result=res)
+        assert cert.granted
+        assert cert.ratio_min == pytest.approx(ratio_min, rel=1e-12)

@@ -396,6 +396,8 @@ def test_certify_rejects_a_malformed_h_hat_before_any_march(
     err = read_json(tmp_path / "out" / "error.json")
     assert err["error"]["type"] == "ValueError"
     assert named in err["error"]["message"]
+    if list(h_hat) == ["mu0_multiple"]:
+        assert "'h_hat.mu0_multiple'" in err["error"]["message"]
     assert marches == []
 
 
@@ -406,6 +408,7 @@ def test_certify_rejects_a_malformed_h_hat_before_any_march(
         ("extend", "solver.output_stride=NaN", "output_stride"),
         ("extend", "solver.output_r0=Infinity", "output_r0"),
         ("extend", "mass_tol=NaN", "'mass_tol'"),
+        ("extend", "mass_tol=abc", "'mass_tol'"),
         ("extend", "u0.expression=2", "'u0.expression'"),
         ("mu0", "mu_tol=NaN", "'mu_tol'"),
         ("mu0", "mass_tol=0", "'mass_tol'"),
@@ -423,6 +426,38 @@ def test_numbers_that_are_not_finite_and_positive_fail_before_any_march(
     assert err["error"]["type"] == "ValueError"
     assert named in err["error"]["message"]
     assert marches == []
+
+
+@pytest.mark.parametrize(
+    "command, override, named",
+    [
+        ("extend", "surface.ntheta=17", "'ntheta'"),
+        ("extend", "mas_tol=1e-3", "'mas_tol'"),
+        ("certify", "h_hats.mu0_multiple=1.1", "'h_hats'"),
+    ],
+)
+def test_misspelt_config_keys_fail_before_any_march(
+    tmp_path, marches, command, override, named
+):
+    make = extend_config if command == "extend" else certify_config
+    cfg = write_config(tmp_path, "c.json", make(tmp_path / "out"))
+    assert cli.main([command, "--config", cfg, "--set", override]) == 1
+    err = read_json(tmp_path / "out" / "error.json")
+    assert err["error"]["type"] == "ValueError"
+    assert named in err["error"]["message"]
+    assert marches == []
+
+
+def test_certify_pairs_an_azimuthal_h_hat_with_axisymmetric_h(tmp_path):
+    config = certify_config(tmp_path / "out")
+    config["h_hat"] = {"expression": "3 + 0.01*cos(phi)"}
+    cfg = write_config(tmp_path, "c.json", config)
+    assert cli.main(["certify", "--config", cfg]) == 0
+    payload = read_json(tmp_path / "out" / "certificate.json")
+    assert payload["granted"] is True
+    # The smallest h_hat / H: phi = pi (node 8 of 16) over the largest H.
+    h_max = 2.0 * (1.0 + 0.3 * np.cos(np.pi / 64))
+    assert payload["ratio_min"] == pytest.approx(2.99 / h_max, rel=1e-12)
 
 
 def test_certify_grants_above_critical(tmp_path):
@@ -556,6 +591,28 @@ def test_sweep_parallel_jobs_match_serial(tmp_path):
         b = read_json(tmp_path / "par" / idx / "estimate.json")
         assert a["value"] == b["value"]
         assert a["bracket_lo"] == b["bracket_lo"]
+
+
+def test_sweep_rejects_a_misspelt_entry_key_before_its_march(tmp_path, marches):
+    config = extend_config(tmp_path / "out", n_theta=32, r_max=100.0)
+    config["command"] = "extend"
+    config["sweep"] = [
+        {"mas_tol": 1e-3},
+        # Keys of another surface kind are fine; the data then fails.
+        {
+            "surface": {"kind": "spheroid", "equatorial_radius": 1.0, "polar_radius": 1.2},
+            "u0": {"expression": "cos(theta)"},
+        },
+    ]
+    cfg = write_config(tmp_path, "c.json", config)
+    assert cli.main(["sweep", "--config", cfg]) == 1
+    summary = read_json(tmp_path / "out" / "sweep.json")
+    assert [e["exit_code"] for e in summary["entries"]] == [1, 1]
+    err = read_json(tmp_path / "out" / "000" / "error.json")
+    assert "'mas_tol'" in err["error"]["message"]
+    err = read_json(tmp_path / "out" / "001" / "error.json")
+    assert err["error"]["type"] == "NonPositiveOnGridError"
+    assert marches == []
 
 
 def test_sweep_validation(tmp_path):

@@ -239,10 +239,10 @@ def test_cyclic_tridiagonal_zero_pivot_raises():
 
 def ladder_radii(config):
     out = [0.0]
-    t = config.output_r0
+    t = 0.01
     while t < config.r_max:
         out.append(t)
-        t *= config.output_stride
+        t *= 1.2
     out.append(config.r_max)
     return out
 
@@ -258,17 +258,17 @@ def test_evolve_flat_data_stays_flat_exactly(sphere64, spheroid64):
 
 
 def test_evolve_emission_ladder_is_exact(sphere32):
-    snap_r_max = 0.1 * 1.2**3 * (1.0 + 1e-13)
+    snap_r_max = 0.01 * 1.2**3 * (1.0 + 1e-13)
     cases = [
         (SolverConfig(r_max=10.0), None),
         # A rung within 1e-12 r_max of r_max is emitted once, as r_max.
         (
-            SolverConfig(output_r0=0.1, r_max=snap_r_max),
-            [0.0, 0.1, 0.1 * 1.2, 0.1 * 1.2 * 1.2, snap_r_max],
+            SolverConfig(r_max=snap_r_max),
+            [0.0, 0.01, 0.01 * 1.2, 0.01 * 1.2 * 1.2, snap_r_max],
         ),
         # A first rung at or beyond r_max leaves only the end points.
-        (SolverConfig(output_r0=2.0, r_max=2.0), [0.0, 2.0]),
-        (SolverConfig(output_r0=5.0, r_max=2.0), [0.0, 2.0]),
+        (SolverConfig(r_max=0.01), [0.0, 0.01]),
+        (SolverConfig(r_max=0.005), [0.0, 0.005]),
     ]
     for cfg, expected in cases:
         radii = []
@@ -405,9 +405,7 @@ def test_solver_config_validation():
         SolverConfig(cfl_safety=0.0)
     with pytest.raises(ValueError):
         SolverConfig(cfl_safety=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(output_stride=1.0)
-    for name in ("cfl_safety", "r_max", "output_stride", "output_r0"):
+    for name in ("cfl_safety", "r_max"):
         for value in (np.inf, np.nan):
             with pytest.raises(ValueError, match=name):
                 SolverConfig(**{name: value})

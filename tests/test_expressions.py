@@ -1,5 +1,5 @@
-"""Curvature-expression parsing: grammar, precedence, canonical text,
-grid evaluation, and located errors."""
+"""Curvature-expression parsing: grammar, precedence, variables, grid
+evaluation, and located errors."""
 
 import numpy as np
 import pytest
@@ -66,32 +66,6 @@ def test_variables_property():
     assert HExpression.parse("sin(theta)*cos(phi)").variables == frozenset(
         {"theta", "phi"}
     )
-
-
-# ---------------------------------------------------------------------------
-# canonical serialization
-
-
-def test_canonical_is_fully_parenthesized():
-    e = HExpression.parse("2*(1+0.3*cos(theta))")
-    assert e.canonical() == "(2.0 * (1.0 + (0.3 * cos(theta))))"
-
-
-def test_canonical_roundtrip_preserves_value_and_text():
-    samples = [
-        "2*(1+0.3*cos(theta))",
-        "-2^2 + sqrt(4)/3",
-        "1 + 0.1*sin(theta)*cos(phi)",
-        "exp(-theta^2)",
-    ]
-    theta = np.linspace(0.0, np.pi, 7)
-    for text in samples:
-        e = HExpression.parse(text)
-        again = HExpression.parse(e.canonical())
-        assert again.canonical() == e.canonical()
-        assert np.allclose(
-            e.evaluate(theta, 0.25), again.evaluate(theta, 0.25), rtol=0, atol=0
-        )
 
 
 # ---------------------------------------------------------------------------
