@@ -190,14 +190,21 @@ def _probe_mass(
 
 
 def _certified_sign(est: mass.MassEstimate, mass_tol: float) -> int:
+    """+1 or -1 when both rails lie on that side of zero; 0 when the mass
+    vanishes within mass_tol on rails at most 50 mass_tol apart; otherwise
+    NotConvergedError, carrying the estimate."""
     if abs(est.value) <= mass_tol and est.bracket_hi - est.bracket_lo <= 50.0 * mass_tol:
         return 0
     if est.bracket_lo > 0.0:
         return 1
     if est.bracket_hi < 0.0:
         return -1
-    # Wide straddling bracket: fall back on the extrapolated value.
-    return 1 if est.value > 0 else -1
+    raise NotConvergedError(
+        f"mass rails [{est.bracket_lo:.3e}, {est.bracket_hi:.3e}] straddle zero "
+        f"at r_final={est.r_final:.6g}, so the sign of the mass is not "
+        "certified; increase r_max",
+        estimate=est,
+    )
 
 
 def solve_mu0(
@@ -215,8 +222,10 @@ def solve_mu0(
     mass_tol.  Every probe, ends and midpoints alike, first reads the mass
     rails at r = 0 and is marched only when they leave its sign open, so
     the result's iterations counts marches, and a mass_at_lo / mass_at_hi
-    may be a rail bound at r = 0 (see Mu0Result).  mu_tol and mass_tol must
-    be finite and positive (ValueError otherwise).
+    may be a rail bound at r = 0 (see Mu0Result).  A marched probe whose
+    rails straddle zero at r_max, its mass not within mass_tol of zero,
+    raises NotConvergedError; a larger r_max narrows the rails.  mu_tol and
+    mass_tol must be finite and positive (ValueError otherwise).
     """
     geometry.positive_number(mu_tol, "mu_tol")
     geometry.positive_number(mass_tol, "mass_tol")

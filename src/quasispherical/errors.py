@@ -26,7 +26,8 @@ class StepUnderflowError(QuasisphericalError):
 
 
 class PositivityLossError(QuasisphericalError):
-    """A solver stage produced a non-positive conformal factor."""
+    """A solver stage produced a non-positive conformal factor.  Raised at
+    once; r and dr name the failed step, for a retry with a smaller dr."""
 
     def __init__(self, message: str, r: float | None = None, dr: float | None = None):
         super().__init__(message)
@@ -39,7 +40,8 @@ class NonFiniteError(QuasisphericalError):
 
 
 class NotConvergedError(QuasisphericalError):
-    """The mass bracket at the final radius is wider than the tolerance.
+    """The mass bracket at the final radius is wider than the tolerance, or
+    a mu0 probe's rails straddle zero there, so its sign is not certified.
 
     Carries the partial estimate so callers can inspect it or retry with a
     larger r_max.

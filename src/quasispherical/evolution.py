@@ -37,7 +37,6 @@ from .geometry import ConvexSurface, FoliationFrame, per_node
 
 logger = logging.getLogger("quasispherical")
 
-_MAX_POSITIVITY_RETRIES = 10
 # A stability-limited step below this raises StepUnderflowError.
 _DR_MIN = 1e-12
 # The emission ladder: _OUTPUT_R0 * _OUTPUT_STRIDE^k below r_max.
@@ -195,8 +194,9 @@ def step(
 ) -> QuasiSphericalState:
     """Advance one step of size dr; returns a new state at r + dr.
 
-    Raises PositivityLossError if any stage drives u <= 0 (callers may retry
-    with a smaller dr) and NonFiniteError on NaN/Inf.
+    Raises PositivityLossError if any stage drives u <= 0 and NonFiniteError
+    on NaN/Inf; both name r and dr, and PositivityLossError carries them as
+    attributes, so a caller may retry with a smaller dr.
     """
     r = state.r
     u = state.u
@@ -258,8 +258,8 @@ def evolve(
     The observer (if given) is called at r = 0, at every ladder radius
     0.01 * 1.2^k below r_max, and at r_max; ladder radii are landed on
     exactly, so runs with different initial data emit at identical radii.
-    On positivity loss the step is halved and retried up to 10 times before
-    the error propagates.
+    Each step is taken once: a PositivityLossError or NonFiniteError from
+    step propagates at once, with the r and dr of the failed step.
     """
     u = _normalize_initial(surface, u0)
     state = QuasiSphericalState(r=0.0, u=u, step_index=0)
@@ -275,25 +275,7 @@ def evolve(
             if landing:
                 dr = target - state.r
 
-            attempts = 0
-            while True:
-                try:
-                    new_state = step(state, surface, dr, config, frame0=frame0)
-                    break
-                except PositivityLossError:
-                    attempts += 1
-                    if attempts > _MAX_POSITIVITY_RETRIES:
-                        raise
-                    dr *= 0.5
-                    landing = False
-                    logger.info(
-                        "positivity retry %d at r=%.6g with dr=%.3e",
-                        attempts,
-                        state.r,
-                        dr,
-                    )
-
-            state = new_state
+            state = step(state, surface, dr, config, frame0=frame0)
             if landing:
                 state.r = target  # exact landing, no accumulation drift
             if state.r >= log_every:

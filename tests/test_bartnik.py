@@ -12,6 +12,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from quasispherical import bartnik, geometry, mass
@@ -24,7 +26,11 @@ from quasispherical.bartnik import (
     quasilocal_masses,
     solve_mu0,
 )
-from quasispherical.errors import BracketFailureError, MarginTooSmallError
+from quasispherical.errors import (
+    BracketFailureError,
+    MarginTooSmallError,
+    NotConvergedError,
+)
 from quasispherical.evolution import SolverConfig
 from quasispherical.geometry import Sphere, Spheroid, SurfaceSpec, build_surface
 
@@ -186,6 +192,56 @@ def test_mu0_bracket_failure(sphere32m, monkeypatch):
     # the patched march; a mass_tol of 0.1 leaves both ends to it.
     with pytest.raises(BracketFailureError):
         solve_mu0(data, mass_tol=0.1, config=FAST)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mass_tol=st.floats(min_value=1e-9, max_value=1e-1),
+    units=st.lists(
+        st.floats(min_value=-100.0, max_value=100.0), min_size=3, max_size=3
+    ),
+)
+def test_certified_sign_takes_only_certified_signs(mass_tol, units):
+    lo, value, hi = sorted(mass_tol * x for x in units)
+    est = mass.MassEstimate(
+        value=value, bracket_lo=lo, bracket_hi=hi, residual=0.0, r_final=300.0
+    )
+    zero_rule = abs(value) <= mass_tol and hi - lo <= 50.0 * mass_tol
+    try:
+        sign = bartnik._certified_sign(est, mass_tol)
+    except NotConvergedError as err:
+        assert err.estimate is est
+        assert "increase r_max" in str(err)
+        assert not zero_rule and lo <= 0.0 <= hi
+        return
+    if sign == 1:
+        assert lo > 0.0
+    elif sign == -1:
+        assert hi < 0.0
+    else:
+        assert sign == 0 and zero_rule
+
+
+def test_mu0_raises_on_a_probe_whose_rails_straddle_zero(sphere32m, monkeypatch):
+    # The ends are settled by the rails at r = 0; the first marched
+    # midpoint straddles zero, and no sign is taken from its value.
+    marched = _counting_marches(monkeypatch)
+    probes = []
+    # Far outside the sign-0 rule at the default mass_tol of 1e-6.
+    est = mass.MassEstimate(
+        value=1e-3, bracket_lo=-1e-2, bracket_hi=1e-2, residual=0.0, r_final=300.0
+    )
+
+    def straddling(data, mu, config, mass_tol):
+        probes.append(mu)
+        return est
+
+    monkeypatch.setattr(bartnik, "_probe_mass", straddling)
+    with pytest.raises(NotConvergedError, match="increase r_max") as exc:
+        solve_mu0(_tilted(sphere32m), config=FAST)
+    assert exc.value.estimate is est
+    assert len(probes) == 1
+    assert marched == []
 
 
 def _tilted(surface):
@@ -400,3 +456,55 @@ def test_certificate_pairs_axisymmetric_and_azimuthal_fields(sphere32m):
         assert cert == certify_no_fill_in(both, spread(h_hat), margin=0.05, mu0_result=res)
         assert cert.granted
         assert cert.ratio_min == pytest.approx(ratio_min, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def tilted32m(sphere32m):
+    return _tilted(sphere32m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mu0=st.floats(min_value=0.5, max_value=2.0),
+    half_width=st.floats(min_value=1e-6, max_value=1e-2),
+    margin=st.floats(min_value=1e-5, max_value=0.2),
+    scale=st.floats(min_value=0.8, max_value=1.3),
+    tilt=st.floats(min_value=0.0, max_value=0.05),
+    euclidean=st.booleans(),
+)
+def test_certificate_is_never_granted_below_mu0(
+    tilted32m, mu0, half_width, margin, scale, tilt, euclidean
+):
+    # A hand-made mu0 result: nothing is marched.
+    lo, hi = mu0 * (1.0 - half_width), mu0 * (1.0 + half_width)
+    res = bartnik.Mu0Result(
+        mu0=mu0,
+        bracket=(lo, hi),
+        mass_at_lo=1e-3,
+        mass_at_hi=-1e-3,
+        analytic_lower=lo,
+        analytic_upper=hi,
+        iterations=0,
+        lambda0_upper_bound=hi,
+        is_euclidean_case=euclidean,
+    )
+    H = tilted32m.H
+    h_hat = scale * mu0 * H * (1.0 + tilt * np.cos(tilted32m.surface.theta))
+    if margin <= (hi - lo) / (2.0 * mu0):
+        with pytest.raises(MarginTooSmallError):
+            certify_no_fill_in(tilted32m, h_hat, margin=margin, mu0_result=res)
+        return
+    cert = certify_no_fill_in(tilted32m, h_hat, margin=margin, mu0_result=res)
+    ratios = h_hat / H
+    borderline = (
+        euclidean
+        and abs(ratios.min() / mu0 - 1.0) <= margin
+        and abs(ratios.max() / mu0 - 1.0) <= margin
+    )
+    assert cert.exceptional_case == borderline
+    if borderline:
+        assert not cert.granted
+    if cert.granted:
+        # Up to the rounding of the measured margin's division.
+        assert ratios.min() >= hi * (1.0 + margin) * (1.0 - 1e-14)
+        assert ratios.min() > hi >= mu0

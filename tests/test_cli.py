@@ -448,6 +448,24 @@ def test_misspelt_config_keys_fail_before_any_march(
     assert marches == []
 
 
+def test_certify_reports_a_probe_whose_rails_straddle_zero(
+    tmp_path, marches, monkeypatch
+):
+    def straddling(data, mu, config, mass_tol):
+        return mass.MassEstimate(
+            value=1e-3, bracket_lo=-1e-2, bracket_hi=1e-2, residual=0.0, r_final=300.0
+        )
+
+    monkeypatch.setattr(bartnik, "_probe_mass", straddling)
+    cfg = write_config(tmp_path, "c.json", certify_config(tmp_path / "out"))
+    assert cli.main(["certify", "--config", cfg]) == 1
+    err = read_json(tmp_path / "out" / "error.json")
+    assert err["error"]["type"] == "NotConvergedError"
+    assert "increase r_max" in err["error"]["message"]
+    assert not (tmp_path / "out" / "certificate.json").exists()
+    assert marches == []
+
+
 def test_certify_pairs_an_azimuthal_h_hat_with_axisymmetric_h(tmp_path):
     config = certify_config(tmp_path / "out")
     config["h_hat"] = {"expression": "3 + 0.01*cos(phi)"}

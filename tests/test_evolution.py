@@ -358,9 +358,10 @@ def test_evolve_imex_consistent_with_explicit():
     assert np.all(implicit.u > 0)
 
 
-def test_evolve_retries_after_positivity_loss(sphere32, monkeypatch):
-    # Force one absurd step proposal; the march must halve its way out and
-    # still finish with the correct answer.
+def test_evolve_lands_an_oversized_step_proposal(sphere32, monkeypatch):
+    # Force one absurd step proposal of 5.0: the landing cuts it to the
+    # first ladder radius, 0.01, and the march still finishes with the
+    # correct answer.
     real = evolution.select_step
     calls = {"n": 0}
 
@@ -377,13 +378,20 @@ def test_evolve_retries_after_positivity_loss(sphere32, monkeypatch):
     assert np.max(np.abs(final.u - sol.u_at_offset(10.0))) < 1e-6
 
 
-def test_evolve_gives_up_after_bounded_retries(sphere32, monkeypatch):
+def test_evolve_raises_the_first_positivity_loss(sphere32, monkeypatch):
+    # No retry: the first failed step propagates with its own r and dr.
+    calls = []
+
     def always_fails(state, surface, dr, config, frame0=None):
+        calls.append(dr)
         raise PositivityLossError("forced", r=state.r, dr=dr)
 
     monkeypatch.setattr(evolution, "step", always_fails)
-    with pytest.raises(PositivityLossError):
+    with pytest.raises(PositivityLossError) as exc:
         evolve(sphere32, 1.5, SolverConfig(r_max=1.0))
+    assert len(calls) == 1
+    assert exc.value.r == 0.0
+    assert exc.value.dr == calls[0]
 
 
 def test_evolve_input_validation(sphere32):
