@@ -189,10 +189,10 @@ def _probe_mass(
         return err.estimate
 
 
-def _certified_sign(est: mass.MassEstimate, mass_tol: float) -> int:
+def _certified_sign(est: mass.MassEstimate, mu: float, mass_tol: float) -> int:
     """+1 or -1 when both rails lie on that side of zero; 0 when the mass
     vanishes within mass_tol on rails at most 50 mass_tol apart; otherwise
-    NotConvergedError, carrying the estimate."""
+    NotConvergedError, naming the probe's mu and carrying the estimate."""
     if abs(est.value) <= mass_tol and est.bracket_hi - est.bracket_lo <= 50.0 * mass_tol:
         return 0
     if est.bracket_lo > 0.0:
@@ -201,7 +201,7 @@ def _certified_sign(est: mass.MassEstimate, mass_tol: float) -> int:
         return -1
     raise NotConvergedError(
         f"mass rails [{est.bracket_lo:.3e}, {est.bracket_hi:.3e}] straddle zero "
-        f"at r_final={est.r_final:.6g}, so the sign of the mass is not "
+        f"at mu={mu:.8g}, r_final={est.r_final:.6g}, so the sign of the mass is not "
         "certified; increase r_max",
         estimate=est,
     )
@@ -247,12 +247,12 @@ def solve_mu0(
     hi = 1.05 * analytic_upper
     est_lo = probe(lo)
     est_hi = probe(hi)
-    if _certified_sign(est_lo, mass_tol) <= 0:
+    if _certified_sign(est_lo, lo, mass_tol) <= 0:
         raise BracketFailureError(
             f"mass at the low end mu={lo:.8g} is not positive "
             f"(bracket [{est_lo.bracket_lo:.3e}, {est_lo.bracket_hi:.3e}])"
         )
-    if _certified_sign(est_hi, mass_tol) >= 0:
+    if _certified_sign(est_hi, hi, mass_tol) >= 0:
         raise BracketFailureError(
             f"mass at the high end mu={hi:.8g} is not negative "
             f"(bracket [{est_hi.bracket_lo:.3e}, {est_hi.bracket_hi:.3e}])"
@@ -261,7 +261,7 @@ def solve_mu0(
     while hi - lo > mu_tol * 0.5 * (lo + hi):
         mid = 0.5 * (lo + hi)
         est_mid = probe(mid)
-        sign = _certified_sign(est_mid, mass_tol)
+        sign = _certified_sign(est_mid, mid, mass_tol)
         logger.info(
             "bisection after %d marches: mu=[%.8g, %.8g], mid mass %.3e",
             iterations,

@@ -8,13 +8,12 @@ where Lap_r, H0_r, R_r are the Laplace-Beltrami operator, mean curvature,
 and scalar curvature of the leaf Sigma_r.  This module integrates that
 equation from r = 0 with positive initial data.
 
-Every step runs one body: the midpoint rule, with leaf geometry evaluated
-at the stage radii.  Under ExplicitRK2 the right-hand side uses the full
-Laplacian.  Under ThetaExplicitPhiImplicit, on 2-d data, it uses only the
-theta part, and the scheme adds a single stage after the body: a
-backward-Euler solve of the azimuthal second difference, one cyclic
-tridiagonal system per theta ring.  This removes the severe polar
-restriction dr ~ (sin(theta) dphi)^2 for non-axisymmetric data.
+Every step runs one body: the midpoint rule on the theta part of the
+Laplacian, with leaf geometry evaluated at the stage radii.  On 2-d data a
+single stage follows the body: a backward-Euler solve of the azimuthal
+second difference, one cyclic tridiagonal system per theta ring.  This
+removes the severe polar restriction dr ~ (sin(theta) dphi)^2 for
+non-axisymmetric data.
 
 Data that does not vary in phi is always marched on the one-dimensional
 theta grid (the equation preserves axisymmetry, so this is exact, not an
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,8 +43,9 @@ _OUTPUT_R0 = 0.01
 _OUTPUT_STRIDE = 1.2
 
 
+# The one marching scheme.  Only perfbench/ still names it, as the scheme
+# argument of SolverConfig; nothing reads it.
 class Scheme(str, enum.Enum):
-    EXPLICIT_RK2 = "explicit_rk2"
     THETA_EXPLICIT_PHI_IMPLICIT = "theta_explicit_phi_implicit"
 
 
@@ -58,20 +58,20 @@ class SolverConfig:
     the fixed geometric ladder r_k = 0.01 * 1.2^k (plus r = 0 and r = r_max,
     always emitted).  The step is not clamped from above: landing on the
     next ladder radius bounds it.  A stability-required step below 1e-12
-    raises StepUnderflowError.
+    raises StepUnderflowError.  scheme is accepted but not stored: its one
+    valid value names the only marching scheme (ValueError otherwise).
     """
 
     cfl_safety: float = 0.25
     r_max: float = 1000.0
-    scheme: Scheme = Scheme.EXPLICIT_RK2
+    scheme: InitVar[Scheme] = Scheme.THETA_EXPLICIT_PHI_IMPLICIT
 
-    def __post_init__(self):
+    def __post_init__(self, scheme):
         geometry.positive_number(self.cfl_safety, "cfl_safety")
         if self.cfl_safety > 1.0:
             raise ValueError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
         geometry.positive_number(self.r_max, "r_max")
-        if not isinstance(self.scheme, Scheme):
-            object.__setattr__(self, "scheme", Scheme(self.scheme))
+        Scheme(scheme)
 
 
 @dataclass
@@ -87,13 +87,13 @@ class QuasiSphericalState:
     step_index: int = 0
 
 
-# lap is geometry.laplacian or its theta part; the reaction coefficient R/2
-# is the Gauss curvature K of the leaf.
-def _rhs(u: np.ndarray, frame: FoliationFrame, lap) -> np.ndarray:
+# The theta part of the equation; the reaction coefficient R/2 is the Gauss
+# curvature K of the leaf.
+def _rhs(u: np.ndarray, frame: FoliationFrame) -> np.ndarray:
     H0 = per_node(frame.H0, u)
     K = per_node(frame.K, u)
     uu = u * u
-    return (uu * lap(frame, u) + K * (u - uu * u)) / H0
+    return (uu * geometry.theta_laplacian(frame, u) + K * (u - uu * u)) / H0
 
 
 def solve_cyclic_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
@@ -152,21 +152,18 @@ def select_step(
     """Stability-limited step at the current radius.
 
     dr = cfl_safety * min over nodes of h^2 H0 / (4 u^2), where h is the
-    smaller local metric grid spacing.  The azimuthal spacing is excluded
-    for axisymmetric data and under the phi-implicit scheme (the implicit
-    solve removes that restriction).  A value below 1e-12 raises
-    StepUnderflowError.
+    local metric theta spacing.  The azimuthal spacing never limits the
+    step: the implicit azimuthal stage removes that restriction.  A value
+    below 1e-12 raises StepUnderflowError.
     """
     u = state.u
     h = np.sqrt(frame.E) * frame.d_theta
-    if u.ndim == 2 and config.scheme is Scheme.EXPLICIT_RK2:
-        h = np.minimum(h, np.sqrt(frame.G) * frame.d_phi)
     local = per_node(h * h * frame.H0, u) / (4.0 * u * u)
     dr = config.cfl_safety * float(local.min())
     if dr < _DR_MIN:
         raise StepUnderflowError(
             f"stability-limited step {dr:.3e} fell below {_DR_MIN:.0e} "
-            f"at r={state.r:.6g}; coarsen the grid or switch scheme"
+            f"at r={state.r:.6g}; coarsen the grid"
         )
     return dr
 
@@ -189,7 +186,6 @@ def step(
     state: QuasiSphericalState,
     surface: ConvexSurface,
     dr: float,
-    config: SolverConfig,
     frame0: Optional[FoliationFrame] = None,
 ) -> QuasiSphericalState:
     """Advance one step of size dr; returns a new state at r + dr.
@@ -203,17 +199,14 @@ def step(
     if frame0 is None:
         frame0 = geometry.frame_at(surface, r)
 
-    phi_implicit = u.ndim == 2 and config.scheme is Scheme.THETA_EXPLICIT_PHI_IMPLICIT
-    lap = geometry.theta_laplacian if phi_implicit else geometry.laplacian
-
-    k1 = _rhs(u, frame0, lap)
+    k1 = _rhs(u, frame0)
     um = u + 0.5 * dr * k1
     _check_stage(um, r, dr, "midpoint stage")
     fm = geometry.frame_at(surface, r + 0.5 * dr)
-    u1 = u + dr * _rhs(um, fm, lap)
-    _check_stage(u1, r, dr, "theta stage" if phi_implicit else "update")
+    u1 = u + dr * _rhs(um, fm)
+    _check_stage(u1, r, dr, "theta stage" if u.ndim == 2 else "update")
 
-    if phi_implicit:
+    if u.ndim == 2:
         # Backward-Euler azimuthal solve on the leaf at r + dr.
         f1 = geometry.frame_at(surface, r + dr)
         coef = dr * u1 * u1 / (
@@ -275,7 +268,7 @@ def evolve(
             if landing:
                 dr = target - state.r
 
-            state = step(state, surface, dr, config, frame0=frame0)
+            state = step(state, surface, dr, frame0=frame0)
             if landing:
                 state.r = target  # exact landing, no accumulation drift
             if state.r >= log_every:

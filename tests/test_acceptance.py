@@ -21,7 +21,6 @@ from quasispherical import bartnik, cli, geometry, mass, oracle
 from quasispherical.bartnik import BartnikData, h0_of, mu0_bounds, solve_mu0
 from quasispherical.evolution import (
     QuasiSphericalState,
-    Scheme,
     SolverConfig,
     evolve,
     select_step,
@@ -124,7 +123,7 @@ def _walk_rails(surf, u0, config, r_stop):
     worst_lo_drop = np.inf
     while state.r < r_stop:
         dr = min(select_step(state, frame, config), r_stop - state.r)
-        state = step(state, surf, dr, config, frame0=frame)
+        state = step(state, surf, dr, frame0=frame)
         frame = geometry.frame_at(surf, state.r)
         new_up = mass.mass_at(frame, state.u)
         new_lo = mass.mass_lower_at(frame, state.u)
@@ -149,9 +148,7 @@ def test_criterion_04_monotone_rails(report):
         s2 = sphere(48, radius=1.5, n_phi=32)
         phi = s2.d_phi * np.arange(32)
         u2 = 1.0 + 0.1 * np.sin(s2.theta)[:, None] * np.cos(phi)[None, :]
-        runs.append(
-            (s2, u2, SolverConfig(r_max=10.0, scheme=Scheme.THETA_EXPLICIT_PHI_IMPLICIT))
-        )
+        runs.append((s2, u2, cfg))
         for surf, u0, config in runs:
             up_rise, lo_drop = _walk_rails(surf, u0, config, 10.0)
             assert up_rise <= 1e-8, f"upper rail rose by {up_rise:.3e}"
@@ -294,7 +291,7 @@ def test_criterion_11_azimuthal_implicit_run(report):
         surf = sphere(96, n_phi=64)
         phi = surf.d_phi * np.arange(64)
         u0 = 1.0 + 0.1 * np.sin(surf.theta)[:, None] * np.cos(phi)[None, :]
-        cfg = SolverConfig(r_max=100.0, scheme=Scheme.THETA_EXPLICIT_PHI_IMPLICIT)
+        cfg = SolverConfig(r_max=100.0)
 
         min_u = []
         series, final = compute_mass_series(

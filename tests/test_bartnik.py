@@ -208,10 +208,11 @@ def test_certified_sign_takes_only_certified_signs(mass_tol, units):
     )
     zero_rule = abs(value) <= mass_tol and hi - lo <= 50.0 * mass_tol
     try:
-        sign = bartnik._certified_sign(est, mass_tol)
+        sign = bartnik._certified_sign(est, 1.25, mass_tol)
     except NotConvergedError as err:
         assert err.estimate is est
         assert "increase r_max" in str(err)
+        assert "mu=1.25," in str(err)
         assert not zero_rule and lo <= 0.0 <= hi
         return
     if sign == 1:
@@ -241,6 +242,7 @@ def test_mu0_raises_on_a_probe_whose_rails_straddle_zero(sphere32m, monkeypatch)
         solve_mu0(_tilted(sphere32m), config=FAST)
     assert exc.value.estimate is est
     assert len(probes) == 1
+    assert f"mu={probes[0]:.8g}," in str(exc.value)
     assert marched == []
 
 
@@ -321,10 +323,10 @@ def test_marched_sign_agrees_with_the_rails_at_base(sphere32m, spheroid32m, whic
         )
         for mu, sign in zip(edges, (1, -1)):
             settled = bartnik._rails_at_base(data, mu, mass_tol)
-            assert bartnik._certified_sign(settled, mass_tol) == sign
+            assert bartnik._certified_sign(settled, mu, mass_tol) == sign
             marched = bartnik._probe_mass(data, mu, FAST, mass_tol)
             if strict:
-                assert bartnik._certified_sign(marched, mass_tol) == sign
+                assert bartnik._certified_sign(marched, mu, mass_tol) == sign
             assert sign * marched.bracket_lo > 0 and sign * marched.bracket_hi > 0
 
 

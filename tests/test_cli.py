@@ -16,7 +16,7 @@ import pytest
 
 import quasispherical
 from quasispherical import bartnik, cli, geometry, mass
-from quasispherical.evolution import Scheme, SolverConfig
+from quasispherical.evolution import SolverConfig
 from quasispherical.expressions import HExpression
 from quasispherical.geometry import Sphere, SurfaceSpec
 
@@ -120,17 +120,12 @@ def test_extend_mass_series_header_and_format(tmp_path):
     assert float(first[1]) == float(repr(float(first[1])))
 
 
-@pytest.mark.parametrize(
-    "u0, n_phi, scheme",
-    [
-        ("1.5 + 0.2*cos(theta)", 8, "explicit_rk2"),
-        ("1.5 + 0.2*sin(theta)*cos(phi)", 8, "theta_explicit_phi_implicit"),
-    ],
-)
-def test_extend_csv_files_hold_the_library_arrays(tmp_path, u0, n_phi, scheme):
+@pytest.mark.parametrize("u0", ["1.5 + 0.2*cos(theta)", "1.5 + 0.2*sin(theta)*cos(phi)"])
+def test_extend_csv_files_hold_the_library_arrays(tmp_path, u0):
+    n_phi = 8
     config = {
         "surface": {"kind": "sphere", "radius": 1.0, "n_theta": 16, "n_phi": n_phi},
-        "solver": {"r_max": 20.0, "scheme": scheme},
+        "solver": {"r_max": 20.0},
         "u0": {"expression": u0},
         "mass_tol": 1.0,
         "output_dir": str(tmp_path / "out"),
@@ -141,9 +136,7 @@ def test_extend_csv_files_hold_the_library_arrays(tmp_path, u0, n_phi, scheme):
         SurfaceSpec(shape=Sphere(radius=1.0), n_theta=16, n_phi=n_phi)
     )
     field = HExpression.parse(u0).evaluate_positive_on_grid(surface)
-    series, final = mass.compute_mass_series(
-        surface, field, SolverConfig(r_max=20.0, scheme=Scheme(scheme))
-    )
+    series, final = mass.compute_mass_series(surface, field, SolverConfig(r_max=20.0))
     out = tmp_path / "out"
     rails = cli._read_csv_columns(out / "mass_series.csv", ["r", "m_upper", "m_lower"])
     assert np.array_equal(rails["r"], series.r)
@@ -451,7 +444,10 @@ def test_misspelt_config_keys_fail_before_any_march(
 def test_certify_reports_a_probe_whose_rails_straddle_zero(
     tmp_path, marches, monkeypatch
 ):
+    probes = []
+
     def straddling(data, mu, config, mass_tol):
+        probes.append(mu)
         return mass.MassEstimate(
             value=1e-3, bracket_lo=-1e-2, bracket_hi=1e-2, residual=0.0, r_final=300.0
         )
@@ -462,6 +458,8 @@ def test_certify_reports_a_probe_whose_rails_straddle_zero(
     err = read_json(tmp_path / "out" / "error.json")
     assert err["error"]["type"] == "NotConvergedError"
     assert "increase r_max" in err["error"]["message"]
+    assert len(probes) == 1
+    assert f"mu={probes[0]:.8g}," in err["error"]["message"]
     assert not (tmp_path / "out" / "certificate.json").exists()
     assert marches == []
 
@@ -667,6 +665,16 @@ def test_unknown_solver_option_is_an_error(tmp_path):
     assert cli.main(["extend", "--config", cfg]) == 1
     err = read_json(tmp_path / "out" / "error.json")
     assert "warp_factor" in err["error"]["message"]
+
+
+def test_the_scheme_is_not_a_solver_option(tmp_path, marches):
+    cfg = write_config(tmp_path, "c.json", extend_config(tmp_path / "out"))
+    override = "solver.scheme=explicit_rk2"
+    assert cli.main(["extend", "--config", cfg, "--set", override]) == 1
+    err = read_json(tmp_path / "out" / "error.json")
+    assert err["error"]["type"] == "ValueError"
+    assert err["error"]["message"] == "unknown solver options ['scheme']"
+    assert marches == []
 
 
 def test_python_m_runs_the_cli():

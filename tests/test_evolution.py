@@ -5,6 +5,8 @@ structural behavior (exact fixed point, exact emission ladder, positivity
 handling, the implicit azimuthal solve) is pinned directly.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from quasispherical.errors import (
 )
 from quasispherical.evolution import (
     QuasiSphericalState,
-    Scheme,
     SolverConfig,
     evolve,
     select_step,
@@ -73,20 +74,16 @@ def test_select_step_underflows(sphere64):
         select_step(state_of(np.full(64, 1e6)), f0, SolverConfig())
 
 
-def test_select_step_phi_spacing_only_binds_explicit_2d(sphere64):
-    # With many azimuthal cells the polar phi spacing is the explicit
-    # bottleneck; the implicit scheme must ignore it.
+def test_select_step_2d_equals_the_1d_step():
+    # With many azimuthal cells the polar phi spacing is far below the
+    # theta spacing; the implicit azimuthal stage lets the step ignore it.
     spec = SurfaceSpec(shape=Sphere(radius=1.0), n_theta=32, n_phi=256)
     surf = build_surface(spec)
     f0 = frame_at(surf, 0.0)
-    u2 = np.ones((32, 256))
-    dr_rk2 = select_step(state_of(u2), f0, SolverConfig(scheme=Scheme.EXPLICIT_RK2))
-    dr_imex = select_step(
-        state_of(u2), f0, SolverConfig(scheme=Scheme.THETA_EXPLICIT_PHI_IMPLICIT)
-    )
-    dr_1d = select_step(state_of(np.ones(32)), f0, SolverConfig())
-    assert dr_rk2 < 0.1 * dr_imex
-    assert dr_imex == pytest.approx(dr_1d, rel=1e-12)
+    cfg = SolverConfig()
+    dr_2d = select_step(state_of(np.ones((32, 256))), f0, cfg)
+    dr_1d = select_step(state_of(np.ones(32)), f0, cfg)
+    assert dr_2d == dr_1d
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +91,9 @@ def test_select_step_phi_spacing_only_binds_explicit_2d(sphere64):
 
 
 def test_step_flat_fixed_point_is_exact(sphere64, spheroid64):
-    cfg = SolverConfig()
     for surf in (sphere64, spheroid64):
         s0 = state_of(np.ones(surf.theta.size))
-        s1 = step(s0, surf, 1e-3, cfg)
+        s1 = step(s0, surf, 1e-3)
         assert np.array_equal(s1.u, s0.u)
         assert s1.r == 1e-3 and s1.step_index == 1
 
@@ -106,10 +102,9 @@ def test_step_local_order_matches_midpoint_scheme(sphere64):
     # One step from exact data: the midpoint rule's local error is O(dr^3),
     # so halving dr divides the defect by about 8.
     sol = oracle.radial_solve(1.0, 2.0)
-    cfg = SolverConfig()
 
     def defect(dr):
-        s1 = step(state_of(2.0 * np.ones(64)), sphere64, dr, cfg)
+        s1 = step(state_of(2.0 * np.ones(64)), sphere64, dr)
         return float(np.max(np.abs(s1.u - sol.u_at_offset(dr))))
 
     e1, e2 = defect(2e-3), defect(1e-3)
@@ -120,7 +115,7 @@ def test_step_positivity_loss(sphere64):
     # Large constant u: the reaction term (u - u^3) R / (2 H0) is strongly
     # negative and an oversized step drives the midpoint stage under zero.
     with pytest.raises(PositivityLossError) as exc:
-        step(state_of(3.0 * np.ones(64)), sphere64, 1.0, SolverConfig())
+        step(state_of(3.0 * np.ones(64)), sphere64, 1.0)
     assert exc.value.r == 0.0 and exc.value.dr == 1.0
 
 
@@ -129,7 +124,7 @@ def test_step_positivity_loss(sphere64):
 def test_step_nonfinite_detection(sphere64):
     # u^3 overflows to inf; the stage check must catch it as non-finite.
     with pytest.raises(NonFiniteError):
-        step(state_of(np.full(64, 1e200)), sphere64, 1e-3, SolverConfig())
+        step(state_of(np.full(64, 1e200)), sphere64, 1e-3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -314,48 +309,51 @@ def test_evolve_axisym_fastpath_collapses_constant_phi(sphere32):
 
 def test_evolve_2d_stencil_agrees_with_1d_on_axisymmetric_data():
     # evolve() marches phi-constant data on the 1-d grid, so the 2-d stencil
-    # is stepped directly.  With the same step sizes the azimuthal
-    # difference of a phi-constant field is exactly zero, so the 2-d march
-    # reproduces the 1-d one bit for bit.
+    # is stepped directly.  The theta right-hand side of a phi-constant
+    # field is the 1-d one in every ring, bit for bit; the azimuthal stage
+    # maps a constant ring to itself up to the cyclic solve's rounding.
     spec = SurfaceSpec(shape=Sphere(radius=1.0), n_theta=16, n_phi=8)
     surf = build_surface(spec)
-    # dr = 1e-4 is far below the stability limit; 200 steps reach r = 0.02.
-    cfg = SolverConfig()
     base = 1.0 + 0.2 * np.cos(surf.theta) ** 2
     u2 = np.tile(base[:, None], (1, 8))
+    for r in (0.0, 0.5, 7.0):
+        frame = frame_at(surf, r)
+        tiled = np.tile(evolution._rhs(base, frame)[:, None], (1, 8))
+        assert np.array_equal(evolution._rhs(u2, frame), tiled)
+    # dr = 1e-4 is far below the stability limit; 200 steps reach r = 0.02.
     out2, out1 = state_of(u2), state_of(base)
     for _ in range(200):
-        out2 = step(out2, surf, 1e-4, cfg)
-        out1 = step(out1, surf, 1e-4, cfg)
+        out2 = step(out2, surf, 1e-4)
+        out1 = step(out1, surf, 1e-4)
     assert out2.u.shape == (16, 8)
-    for k in range(8):
-        assert np.array_equal(out2.u[:, k], out1.u)
+    assert np.max(np.abs(out2.u - out1.u[:, None])) < 1e-13
 
 
 def test_evolve_imex_flat_fixed_point():
     spec = SurfaceSpec(shape=Sphere(radius=1.0), n_theta=24, n_phi=12)
     surf = build_surface(spec)
-    cfg = SolverConfig(r_max=5.0, scheme=Scheme.THETA_EXPLICIT_PHI_IMPLICIT)
+    cfg = SolverConfig(r_max=5.0)
     # evolve() would march phi-constant data on the 1-d grid; step the 2-d
-    # phi-implicit scheme directly with the steps select_step chooses.
+    # march directly with the steps select_step chooses.
     final = state_of(np.ones((24, 12)))
     while final.r < cfg.r_max:
         dr = select_step(final, frame_at(surf, final.r), cfg)
-        final = step(final, surf, min(dr, cfg.r_max - final.r), cfg)
+        final = step(final, surf, min(dr, cfg.r_max - final.r))
     assert np.max(np.abs(final.u - 1.0)) < 1e-11
 
 
-def test_evolve_imex_consistent_with_explicit():
+def test_evolve_imex_time_error_is_small():
+    # The same march at a sixteenth of the step: the difference measures
+    # the time error of the midpoint body and the backward-Euler stage.
     spec = SurfaceSpec(shape=Sphere(radius=1.0), n_theta=24, n_phi=12)
     surf = build_surface(spec)
     phi = 2.0 * np.pi * np.arange(12) / 12.0
     u0 = 1.0 + 0.1 * np.sin(surf.theta)[:, None] * np.cos(phi)[None, :]
-    explicit = evolve(surf, u0, SolverConfig(r_max=1.0))
-    implicit = evolve(
-        surf, u0, SolverConfig(r_max=1.0, scheme=Scheme.THETA_EXPLICIT_PHI_IMPLICIT)
-    )
-    assert np.max(np.abs(explicit.u - implicit.u)) < 5e-3
-    assert np.all(implicit.u > 0)
+    coarse = evolve(surf, u0, SolverConfig(r_max=1.0))
+    fine = evolve(surf, u0, SolverConfig(r_max=1.0, cfl_safety=0.25 / 16))
+    assert coarse.u.shape == (24, 12)
+    assert np.max(np.abs(coarse.u - fine.u)) < 1e-4
+    assert np.all(coarse.u > 0)
 
 
 def test_evolve_lands_an_oversized_step_proposal(sphere32, monkeypatch):
@@ -382,7 +380,7 @@ def test_evolve_raises_the_first_positivity_loss(sphere32, monkeypatch):
     # No retry: the first failed step propagates with its own r and dr.
     calls = []
 
-    def always_fails(state, surface, dr, config, frame0=None):
+    def always_fails(state, surface, dr, frame0=None):
         calls.append(dr)
         raise PositivityLossError("forced", r=state.r, dr=dr)
 
@@ -406,7 +404,13 @@ def test_evolve_input_validation(sphere32):
         evolve(sphere32, np.full(32, np.nan), cfg)
 
 
+def test_solver_config_holds_two_fields():
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["cfl_safety", "r_max"]
+
+
 def test_solver_config_validation():
+    with pytest.raises(ValueError, match="explicit_rk2"):
+        SolverConfig(scheme="explicit_rk2")
     with pytest.raises(ValueError):
         SolverConfig(r_max=0.0)
     with pytest.raises(ValueError):

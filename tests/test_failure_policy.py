@@ -1,6 +1,7 @@
 """The failure rule, read from the sources: a step or a sign that the
 solver cannot certify raises at once, and nothing in the march or the mu0
-search recovers from it.
+search recovers from it.  The march has one scheme, so no code chooses
+between schemes.
 
 The modules are parsed by path with ast; nothing is imported.
 """
@@ -40,3 +41,40 @@ def test_the_only_handler_in_bartnik_is_probe_mass_not_converged():
     handlers = [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)]
     assert owned == [("_probe_mass", "NotConvergedError")]
     assert len(handlers) == 1
+
+
+def _identifiers(node):
+    """Every name, attribute, import alias, class and function under node."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+        elif isinstance(sub, (ast.ClassDef, ast.FunctionDef)):
+            yield sub.name
+
+
+def test_the_march_reads_no_scheme():
+    # One marching scheme: SolverConfig accepts its name as an InitVar and
+    # checks it, and no other code names it.
+    places = []
+    for node in _tree("evolution").body:
+        owner = ""
+        parts = [node]
+        if isinstance(node, ast.ClassDef) and node.name == "SolverConfig":
+            owner, parts = "SolverConfig.", node.body
+        for part in parts:
+            if "Scheme" in _identifiers(part):
+                if isinstance(part, ast.AnnAssign):
+                    places.append(owner + ast.unparse(part.annotation))
+                else:
+                    places.append(owner + part.name)
+    assert places == ["Scheme", "SolverConfig.InitVar[Scheme]", "SolverConfig.__post_init__"]
+    others = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "evolution" and "Scheme" in _identifiers(_tree(path.stem))
+    ]
+    assert others == []

@@ -43,15 +43,6 @@ def test_full_suite_passes_coarse_with_scaled_tolerances():
         assert r.passed, f"{r.name}: {r.details}"
 
 
-def test_evolution_checks_pass_default_scale():
-    results = run_suite(
-        n_theta=32,
-        checks=["mass_monotonicity", "comparison_principle", "scale_monotonicity"],
-    )
-    for r in results:
-        assert r.passed, f"{r.name}: {r.details}"
-
-
 def test_default_tolerance_scale_matches_resolution_ratio():
     assert verification.discretization_scale(64) == 1.0
     assert verification.discretization_scale(32) == 4.0
